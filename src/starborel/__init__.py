@@ -73,7 +73,6 @@ from .verify import (
     logstar_borel_coeffs,
     quadrature_hadamard,
     radius_estimate,
-    radius_spread,
 )
 
 __version__ = "1.0.0"

@@ -12,7 +12,7 @@ from math import factorial
 
 from .errors import UnknownVariableError, VariableMismatchError
 from .series import FormalSeries, Truncation, VariableSet
-from .star import StarKind, STANDARD, star, transition_T
+from .star import StarKind, STANDARD, add_shifted, star, transition_T
 
 
 def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
@@ -38,15 +38,6 @@ def borel_star(fhat: FormalSeries, ghat: FormalSeries,
     return borel(prod, name)
 
 
-def _dist_parts(f: FormalSeries) -> list:
-    """Coefficient series f_n (in the remaining variables) along the
-    distinguished axis, indices 0..deg_t."""
-    parts = [{} for _ in range(f.trunc.deg_t + 1)]
-    for e, c in f.terms.items():
-        parts[e[0]][(0,) + e[1:]] = c
-    return [FormalSeries(f.vars, f.trunc, d) for d in parts]
-
-
 def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
     """Closed coefficient form of the standard Borel star at one degree of
     freedom: sum over m, n, s of
@@ -59,10 +50,9 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
         raise VariableMismatchError("closed formula is stated for dof 1")
     q, p = vars.q_name(1), vars.p_name(1)
     trunc = fhat.trunc.meet(ghat.trunc)
-    out = FormalSeries.zero(vars, trunc)
-    fparts = _dist_parts(fhat)
-    gparts = _dist_parts(ghat)
-    for m, fm in enumerate(fparts):
+    acc = {}
+    gparts = ghat.univariate_coeffs(vars.distinguished)
+    for m, fm in enumerate(fhat.univariate_coeffs(vars.distinguished)):
         if fm.is_zero:
             continue
         for n, gn in enumerate(gparts):
@@ -73,14 +63,8 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
                 coef = Fraction(factorial(n) * factorial(m),
                                 factorial(n + m + s) * factorial(s))
                 term = fm.diff(p, s, shrink_window=False) * gn.diff(q, s, shrink_window=False)
-                term = term * coef
-                shifted = {}
-                for e, c in term.terms.items():
-                    key = (m + n + s,) + e[1:]
-                    if trunc.admits(key):
-                        shifted[key] = shifted.get(key, Fraction(0)) + c
-                out = out + FormalSeries(vars, trunc, shifted)
-    return out
+                add_shifted(acc, term, m + n + s, coef, trunc)
+    return FormalSeries(vars, trunc, acc)
 
 
 def borel_T(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:

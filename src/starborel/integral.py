@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .errors import VariableMismatchError
+from .errors import StarBorelError, VariableMismatchError
 from .series import FormalSeries, Truncation, VariableSet
 
 
@@ -130,7 +130,8 @@ class TrigExpansion:
         for (modes, halfs), v in self.data.items():
             if any(modes):
                 continue
-            assert all(h % 2 == 0 for h in halfs), "odd half power at mode zero"
+            if any(h % 2 for h in halfs):
+                raise StarBorelError("odd half power at mode zero")
             expo_shift = [0] * len(v.vars.names)
             for name, h in zip(half_vars, halfs):
                 expo_shift[v.vars.index(name)] = h // 2
@@ -173,15 +174,11 @@ def _simplex_integrate(h: FormalSeries, helper_names, xi: FormalSeries) -> Forma
     return h
 
 
-def _finish(h: FormalSeries, order: int, helper_names, out_vars: VariableSet,
+def _finish(h: FormalSeries, order: int, out_vars: VariableSet,
             out_trunc: Truncation) -> FormalSeries:
     """Apply d^order/d xi^order, drop the helpers, re-home to the base ring."""
     h = h.diff(h.vars.distinguished, order, shrink_window=False)
-    h = h.drop_vars(helper_names)
-    if h.vars.names != out_vars.names:
-        raise VariableMismatchError(
-            f"unexpected residual variables {h.vars.names}")
-    return FormalSeries(out_vars, out_trunc, h.terms)
+    return h.rehome(out_vars).truncate(out_trunc)
 
 
 # -- the representations ---------------------------------------------------
@@ -206,8 +203,8 @@ def eval_formulahigh(fhat: FormalSeries, ghat: FormalSeries, r: int = None) -> F
     vars, trunc = _extended_ring(base, helpers, r + 2, 0, fhat, ghat)
     xi = FormalSeries.variable(vars, trunc, base.distinguished)
     # f's xi goes to e_{r+1}, g's to e_{r+2}
-    fbig = fhat.rename_distinguished(helpers[r]).embed(vars, trunc)
-    gbig = ghat.rename_distinguished(helpers[r + 1]).embed(vars, trunc)
+    fbig = fhat.rename_distinguished(helpers[r]).truncate(trunc).rehome(vars)
+    gbig = ghat.rename_distinguished(helpers[r + 1]).truncate(trunc).rehome(vars)
     p_names = [base.p_name(j) for j in range(1, r + 1)]
     q_names = [base.q_name(j) for j in range(1, r + 1)]
     ftrig = TrigExpansion.expand_shifts(fbig, p_names, mode_sign=-1)
@@ -215,7 +212,7 @@ def eval_formulahigh(fhat: FormalSeries, ghat: FormalSeries, r: int = None) -> F
     averaged = (ftrig * gtrig).average(helpers[:r])
     integrated = _simplex_integrate(averaged, helpers, xi)
     out_trunc = fhat.trunc.meet(ghat.trunc)
-    return _finish(integrated, r + 2, helpers, base, out_trunc)
+    return _finish(integrated, r + 2, base, out_trunc)
 
 
 def eval_borel_star_rep(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
@@ -244,8 +241,8 @@ def eval_moyal_rep(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
     xi = FormalSeries.variable(vars, trunc, base.distinguished)
     e3 = FormalSeries.variable(vars, trunc, "_e3")
     e4 = FormalSeries.variable(vars, trunc, "_e4")
-    fbig = fhat.rename_distinguished("_e1").embed(vars, trunc)
-    gbig = ghat.rename_distinguished("_e2").embed(vars, trunc)
+    fbig = fhat.rename_distinguished("_e1").truncate(trunc).rehome(vars)
+    gbig = ghat.rename_distinguished("_e2").truncate(trunc).rehome(vars)
     half = Fraction(1, 2)
 
     # fhat(e1, q+z1, p+z2): z1-slice of z2-slices
@@ -282,7 +279,7 @@ def eval_moyal_rep(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
         integrated = res if res is not None else FormalSeries.zero(vars, trunc)
     integrated = _simplex_integrate(integrated, helpers, xi)
     out_trunc = fhat.trunc.meet(ghat.trunc)
-    return _finish(integrated, 4, helpers, base, out_trunc)
+    return _finish(integrated, 4, base, out_trunc)
 
 
 def eval_That_rep(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
@@ -298,7 +295,7 @@ def eval_That_rep(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
     vars, trunc = _extended_ring(base, helpers, 1, 0, fhat)
     xi = FormalSeries.variable(vars, trunc, base.distinguished)
     e1 = FormalSeries.variable(vars, trunc, "_e1")
-    fbig = fhat.embed(vars, trunc).substitute(base.distinguished, xi - e1, strict=True)
+    fbig = fhat.truncate(trunc).rehome(vars).substitute(base.distinguished, xi - e1, strict=True)
     half = Fraction(1, 2) if inverse else Fraction(-1, 2)
 
     sl = {}
@@ -313,7 +310,7 @@ def eval_That_rep(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
     if res is None:
         res = FormalSeries.zero(vars, trunc)
     integrated = res.integrate("_e1", upper=xi)
-    return _finish(integrated, 1, helpers, base, fhat.trunc)
+    return _finish(integrated, 1, base, fhat.trunc)
 
 
 def hadamard_contour(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:

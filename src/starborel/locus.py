@@ -215,18 +215,7 @@ def hadamard_locus_5var(Pf: UniOverPoly, Qg: UniOverPoly) -> Variety:
         raise DegenerateError("degenerate product")
     locus_vars = VariableSet(_H5_NAMES, dof=0)
     leaves = [Leaf("xi3 = 0", MultiPoly.variable(locus_vars, "xi3"))]
-    dz = W.degree("z")
-    if dz == 0:
-        leaves.append(Leaf("product", W.rehome(locus_vars)))
-    else:
-        Wu = UniOverPoly.from_multipoly(W, "z")
-        leaves.append(Leaf("leading z-coefficient", Wu.lead.rehome(locus_vars)))
-        const = Wu.coeffs[0]
-        if not const.is_zero:
-            leaves.append(Leaf("constant z-coefficient", const.rehome(locus_vars)))
-        disc = discriminant_locus(Wu)
-        if not disc.is_zero:
-            leaves.append(Leaf("z-discriminant", disc.rehome(locus_vars)))
+    leaves += _clearing_leaves(UniOverPoly.from_multipoly(W, "z"), locus_vars)
     return Variety(locus_vars, [leaves])
 
 
@@ -255,17 +244,19 @@ def odot_locus(P: MultiPoly, i: str, j: str, xi: str = "xi", z: str = "z") -> Va
     Q = Q.substitute(i, iv + zv)
 
     locus_vars = VariableSet((xi,) + P.vars.names, dof=0)
-    dz = Q.degree(z)
-    leaves = []
-    if dz == 0:
-        leaves.append(Leaf("product", Q.rehome(locus_vars)))
-    else:
-        Qu = UniOverPoly.from_multipoly(Q, z)
-        leaves.append(Leaf("leading z-coefficient", Qu.lead.rehome(locus_vars)))
-        const = Qu.coeffs[0]
-        if not const.is_zero:
-            leaves.append(Leaf("constant z-coefficient", const.rehome(locus_vars)))
-        disc = discriminant_locus(Qu)
-        if not disc.is_zero:
-            leaves.append(Leaf("z-discriminant", disc.rehome(locus_vars)))
-    return Variety(locus_vars, [leaves])
+    return Variety(locus_vars, [_clearing_leaves(UniOverPoly.from_multipoly(Q, z), locus_vars)])
+
+
+def _clearing_leaves(U: UniOverPoly, locus_vars: VariableSet) -> list:
+    """Leaves of a denominator-cleared family U in its clearing variable z:
+    the family itself if it does not involve z, else its leading and
+    (nonzero) constant z-coefficients and (nonzero) z-discriminant."""
+    if U.degree == 0:
+        return [Leaf("product", U.lead.rehome(locus_vars))]
+    leaves = [Leaf("leading z-coefficient", U.lead.rehome(locus_vars))]
+    if not U.coeffs[0].is_zero:
+        leaves.append(Leaf("constant z-coefficient", U.coeffs[0].rehome(locus_vars)))
+    disc = discriminant_locus(U)
+    if not disc.is_zero:
+        leaves.append(Leaf("z-discriminant", disc.rehome(locus_vars)))
+    return leaves

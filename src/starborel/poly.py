@@ -4,8 +4,8 @@ square-free ("simple") decomposition in one variable, Sylvester resultants
 and discriminants, and the shift/reciprocal transforms used by the singular
 locus constructions.
 
-Polynomials are untruncated, unlike the windowed series in
-:mod:`starborel.series`; arithmetic never drops terms.
+Polynomials share their ring code with the windowed series in
+:mod:`starborel.series` but have no window: arithmetic never drops terms.
 """
 
 from __future__ import annotations
@@ -13,234 +13,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
-from .errors import (
-    DegenerateError,
-    NotSimpleError,
-    UnknownVariableError,
-    VariableMismatchError,
-)
-from .series import VariableSet, as_rat, format_terms, parse_terms
+from .errors import DegenerateError, NotSimpleError, VariableMismatchError
+from .series import SparseTerms, VariableSet
 
 
-class MultiPoly:
-    """Sparse exact multivariate polynomial: multi-index -> nonzero rational."""
+class MultiPoly(SparseTerms):
+    """Sparse exact multivariate polynomial ``MultiPoly(vars, terms)``: the
+    unwindowed sibling of :class:`starborel.series.FormalSeries`."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ()
 
     def __init__(self, vars: VariableSet, terms=None):
-        object.__setattr__(self, "vars", vars)
-        clean = {}
-        if terms:
-            n = len(vars.names)
-            for expo, coeff in terms.items():
-                expo = tuple(expo)
-                if len(expo) != n:
-                    raise VariableMismatchError(
-                        f"multi-index {expo} has wrong arity for {vars.names}")
-                c = as_rat(coeff)
-                if c:
-                    clean[expo] = clean.get(expo, Fraction(0)) + c
-                    if not clean[expo]:
-                        del clean[expo]
-        object.__setattr__(self, "terms", clean)
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, vars: VariableSet) -> "MultiPoly":
-        return cls(vars)
-
-    @classmethod
-    def constant(cls, vars: VariableSet, value) -> "MultiPoly":
-        return cls(vars, {(0,) * len(vars.names): as_rat(value)})
-
-    @classmethod
-    def one(cls, vars: VariableSet) -> "MultiPoly":
-        return cls.constant(vars, 1)
-
-    @classmethod
-    def variable(cls, vars: VariableSet, name: str, power: int = 1) -> "MultiPoly":
-        i = vars.index(name)
-        expo = tuple(power if j == i else 0 for j in range(len(vars.names)))
-        return cls(vars, {expo: Fraction(1)})
-
-    @classmethod
-    def from_string(cls, text: str, vars: VariableSet) -> "MultiPoly":
-        terms = {}
-        for coeff, powers in parse_terms(text):
-            expo = [0] * len(vars.names)
-            for name, e in powers.items():
-                expo[vars.index(name)] += e
-            key = tuple(expo)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return cls(vars, terms)
-
-    # -- basic queries ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self, name: str) -> int:
-        """Degree in one variable; -1 for the zero polynomial."""
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def coeff(self, expo) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
-
-    def leading(self):
-        """(multi-index, coefficient) of the graded-lex leading term."""
-        if self.is_zero:
-            raise DegenerateError("zero polynomial has no leading term")
-        key = max(self.terms, key=lambda e: (sum(e), e))
-        return key, self.terms[key]
-
-    def _check_compatible(self, other: "MultiPoly"):
-        if self.vars != other.vars:
-            raise VariableMismatchError(
-                f"variable sets differ: {self.vars.names} vs {other.vars.names}")
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.vars, other)
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.vars, terms)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly) else -as_rat(other))
-
-    def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.vars, {e: c * as_rat(other) for e, c in self.terms.items()})
-        self._check_compatible(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.vars, terms)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def pow(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise DegenerateError("negative powers not supported")
-        out = MultiPoly.one(self.vars)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("MultiPoly is not hashable")
-
-    # -- calculus and substitution ----------------------------------------
-
-    def diff(self, name: str) -> "MultiPoly":
-        i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
-        return MultiPoly(self.vars, terms)
-
-    def substitute(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
-        self._check_compatible(replacement)
-        i = self.vars.index(name)
-        powers = {0: MultiPoly.one(self.vars)}
-
-        def power(k):
-            if k not in powers:
-                powers[k] = power(k - 1) * replacement
-            return powers[k]
-
-        out = MultiPoly.zero(self.vars)
-        for e, c in self.terms.items():
-            rest = MultiPoly(self.vars, {e[:i] + (0,) + e[i + 1:]: c})
-            out = out + rest * power(e[i])
-        return out
-
-    def evaluate(self, bindings: dict):
-        """Full evaluation; exact with rational bindings, numeric otherwise."""
-        missing = [n for n in self.vars.names if n not in bindings]
-        if missing:
-            raise UnknownVariableError(f"missing bindings for {missing}")
-        vals = [bindings[n] for n in self.vars.names]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(vals, e):
-                if k:
-                    v = v * x ** k
-            total = total + v
-        return total
-
-    def evaluate_partial(self, bindings: dict) -> "MultiPoly":
-        """Substitute exact rationals for a subset of the variables."""
-        idx = {self.vars.index(k): as_rat(v) for k, v in bindings.items()}
-        terms = {}
-        for e, c in self.terms.items():
-            val = c
-            key = list(e)
-            for i, v in idx.items():
-                val *= v ** e[i]
-                key[i] = 0
-            key = tuple(key)
-            terms[key] = terms.get(key, Fraction(0)) + val
-        return MultiPoly(self.vars, terms)
-
-    def univariate_coeffs(self, name: str) -> list:
-        """Dense coefficient list b_0..b_M in one variable; the b_i keep the
-        full variable set with the exponent of ``name`` zeroed."""
-        i = self.vars.index(name)
-        deg = self.degree(name)
-        if deg < 0:
-            return []
-        buckets = [dict() for _ in range(deg + 1)]
-        for e, c in self.terms.items():
-            buckets[e[i]][e[:i] + (0,) + e[i + 1:]] = c
-        return [MultiPoly(self.vars, b) for b in buckets]
-
-    def rehome(self, vars: VariableSet) -> "MultiPoly":
-        """Move into another variable set containing every mentioned name."""
-        old = self.vars.names
-        pos = []
-        for j, n in enumerate(old):
-            if n in vars.names:
-                pos.append((j, vars.index(n)))
-            elif any(e[j] for e in self.terms):
-                raise UnknownVariableError(f"variable {n!r} not in target set")
-        width = len(vars.names)
-        terms = {}
-        for e, c in self.terms.items():
-            key = [0] * width
-            for j, t in pos:
-                key[t] = e[j]
-            terms[tuple(key)] = c
-        return MultiPoly(vars, terms)
-
-    def __str__(self):
-        return format_terms(self.terms, self.vars.names)
-
-    def __repr__(self):
-        return f"MultiPoly({self})"
+        super().__init__(vars, None, terms)
 
 
 class UniOverPoly:

@@ -5,6 +5,10 @@ distinguished "deformation" variable (t in the star-product plane, xi in the
 Borel plane).  The truncation window caps the distinguished degree and the
 joint total degree of the remaining variables separately; every operation is
 coefficient-exact on the retained window.
+
+The sparse ring itself (:class:`SparseTerms`) is shared with the untruncated
+polynomials of :mod:`starborel.poly`: a polynomial is a series without a
+window.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 from .errors import (
     BindingError,
+    DegenerateError,
     ParseError,
     UnknownVariableError,
     VariableMismatchError,
@@ -102,14 +108,26 @@ class Truncation:
         return Truncation(min(self.deg_t, other.deg_t), min(self.deg_xy, other.deg_xy))
 
 
-class FormalSeries:
-    """Sparse exact series: multi-index -> nonzero rational coefficient."""
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class SparseTerms:
+    """Sparse exact monomial dict, multi-index -> nonzero rational, over a
+    variable set, with a truncation window ``trunc`` or without one (None).
+
+    This is the ring code of the windowed :class:`FormalSeries` and of its
+    unwindowed sibling :class:`starborel.poly.MultiPoly`.  A windowed result
+    keeps only the terms inside its window; an unwindowed one never drops a
+    term.  Constructors and classmethods take the window right after the
+    variable set, so it is absent from the unwindowed signatures.
+    """
 
     __slots__ = ("vars", "trunc", "terms")
 
-    def __init__(self, vars: VariableSet, trunc: Truncation, terms=None):
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "trunc", trunc)
+    def __init__(self, vars: VariableSet, trunc, terms=None):
+        self.vars = vars
+        self.trunc = trunc
         clean = {}
         if terms:
             n = len(vars.names)
@@ -119,44 +137,67 @@ class FormalSeries:
                     raise VariableMismatchError(
                         f"multi-index {expo} has wrong arity for {vars.names}")
                 c = as_rat(coeff)
-                if c and trunc.admits(expo):
+                if c and (trunc is None or trunc.admits(expo)):
                     clean[expo] = c
-        object.__setattr__(self, "terms", clean)
+        self.terms = clean
+
+    def _new(self, trunc, terms: dict, vars: VariableSet = None):
+        """Same class over ``vars`` (default: this one's) from exact rational
+        coefficients; zero and out-of-window terms are dropped."""
+        out = object.__new__(type(self))
+        out.vars = self.vars if vars is None else vars
+        out.trunc = trunc
+        if trunc is None:
+            out.terms = {e: c for e, c in terms.items() if c}
+        else:
+            dt, dxy = trunc.deg_t, trunc.deg_xy
+            out.terms = {e: c for e, c in terms.items()
+                         if c and e[0] <= dt and sum(e) - e[0] <= dxy}
+        return out
+
+    def _constant(self, value: Fraction):
+        return self._new(self.trunc, {(0,) * len(self.vars.names): value})
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, vars: VariableSet, trunc: Truncation) -> "FormalSeries":
-        return cls(vars, trunc)
+    def zero(cls, vars: VariableSet, *window):
+        return cls(vars, *window)
 
     @classmethod
-    def constant(cls, vars: VariableSet, trunc: Truncation, value) -> "FormalSeries":
-        zero_expo = (0,) * len(vars.names)
-        return cls(vars, trunc, {zero_expo: as_rat(value)})
+    def constant(cls, vars: VariableSet, *window_value):
+        """``constant(vars, [trunc,] value)``."""
+        *window, value = window_value
+        return cls(vars, *window, {(0,) * len(vars.names): as_rat(value)})
 
     @classmethod
-    def one(cls, vars: VariableSet, trunc: Truncation) -> "FormalSeries":
-        return cls.constant(vars, trunc, 1)
+    def one(cls, vars: VariableSet, *window):
+        return cls.constant(vars, *window, 1)
 
     @classmethod
-    def variable(cls, vars: VariableSet, trunc: Truncation, name: str, power: int = 1):
-        i = vars.index(name)
-        expo = tuple(power if j == i else 0 for j in range(len(vars.names)))
-        return cls(vars, trunc, {expo: Fraction(1)})
+    def variable(cls, vars: VariableSet, *window_name, power: int = 1):
+        """``variable(vars, [trunc,] name)``: the monomial name^power."""
+        *window, name = window_name
+        expo = [0] * len(vars.names)
+        expo[vars.index(name)] = power
+        return cls(vars, *window, {tuple(expo): _ONE})
 
     @classmethod
-    def from_string(cls, text: str, vars: VariableSet, trunc: Truncation) -> "FormalSeries":
+    def from_string(cls, text: str, vars: VariableSet, *window):
+        """Parse grammar text; a windowed parse raises on a term outside the
+        window instead of dropping it."""
+        trunc = window[0] if window else None
         terms = {}
         for coeff, powers in parse_terms(text):
             expo = [0] * len(vars.names)
             for name, e in powers.items():
                 expo[vars.index(name)] += e
             key = tuple(expo)
-            if not trunc.admits(key):
+            if trunc is not None and not trunc.admits(key):
                 raise WindowOverflowError(
                     f"term {dict(powers)} exceeds window {trunc}")
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return cls(vars, trunc, terms)
+            terms[key] = terms.get(key, _ZERO) + coeff
+        return cls(vars, *window, terms)
 
     # -- basic queries ----------------------------------------------------
 
@@ -164,114 +205,255 @@ class FormalSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, expo: tuple) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
+    def coeff(self, expo) -> Fraction:
+        return self.terms.get(tuple(expo), _ZERO)
 
     def degree(self, name: str) -> int:
-        """Largest exponent of ``name``; -1 for the zero series."""
+        """Largest exponent of ``name``; -1 for zero."""
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=-1)
 
-    def dist_coeff(self, n: int) -> "FormalSeries":
-        """Coefficient of (distinguished variable)^n, as a series with 0 exponent there."""
-        terms = {(0,) + e[1:]: c for e, c in self.terms.items() if e[0] == n}
-        return FormalSeries(self.vars, self.trunc, terms)
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=-1)
 
-    def dist_coeff_list(self, order=None) -> list:
-        """Rational coefficients along the distinguished axis (univariate series only)."""
-        if any(sum(e[1:]) for e in self.terms):
-            raise VariableMismatchError("dist_coeff_list requires a univariate series")
-        top = self.trunc.deg_t if order is None else order
-        return [self.terms.get((n,) + (0,) * (len(self.vars.names) - 1), Fraction(0))
-                for n in range(top + 1)]
+    def leading(self):
+        """(multi-index, coefficient) of the graded-lex leading term."""
+        if self.is_zero:
+            raise DegenerateError("zero polynomial has no leading term")
+        key = max(self.terms, key=lambda e: (sum(e), e))
+        return key, self.terms[key]
+
+    def univariate_coeffs(self, name: str) -> list:
+        """Dense coefficient list b_0..b_M in one variable, M its degree; the
+        b_i keep the variable set and window, with the exponent of ``name``
+        zeroed."""
+        i = self.vars.index(name)
+        buckets = [{} for _ in range(self.degree(name) + 1)]
+        for e, c in self.terms.items():
+            buckets[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+        return [self._new(self.trunc, b) for b in buckets]
 
     # -- ring operations --------------------------------------------------
 
-    def _check_compatible(self, other: "FormalSeries"):
+    def _check_compatible(self, other):
+        if type(other) is not type(self):
+            raise VariableMismatchError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.vars != other.vars:
             raise VariableMismatchError(
                 f"variable sets differ: {self.vars.names} vs {other.vars.names}")
 
-    def __add__(self, other):
+    def _meet(self, other):
+        """Common window of two compatible operands (None if unwindowed)."""
+        return None if self.trunc is None else self.trunc.meet(other.trunc)
+
+    def _plus(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
-            other = FormalSeries.constant(self.vars, self.trunc, other)
+            other = self._constant(as_rat(other))
         self._check_compatible(other)
-        trunc = self.trunc.meet(other.trunc)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return FormalSeries(self.vars, trunc, terms)
+        get = terms.get
+        if sign > 0:
+            for e, c in other.terms.items():
+                terms[e] = get(e, _ZERO) + c
+        else:
+            for e, c in other.terms.items():
+                terms[e] = get(e, _ZERO) - c
+        return self._new(self._meet(other), terms)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return FormalSeries(self.vars, self.trunc, {e: -c for e, c in self.terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FormalSeries.constant(self.vars, self.trunc, other)
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._new(self.trunc, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_rat(other)
-            return FormalSeries(self.vars, self.trunc,
-                                {e: c * v for e, v in self.terms.items()})
+            return self._new(self.trunc, {e: c * v for e, v in self.terms.items()})
         self._check_compatible(other)
-        trunc = self.trunc.meet(other.trunc)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if trunc.admits(e):
-                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return FormalSeries(self.vars, trunc, terms)
+        return self._times(other, self._meet(other), strict=False)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def pow(self, n: int) -> "FormalSeries":
+    def _times(self, other, trunc, strict: bool):
+        """Product on the window ``trunc``: a term outside it is dropped, or
+        raises WindowOverflowError when ``strict``."""
+        terms = {}
+        get = terms.get
+        if trunc is None:
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    terms[e] = get(e, _ZERO) + c1 * c2
+            return self._new(None, terms)
+        dt, dxy = trunc.deg_t, trunc.deg_xy
+        right = [(e2, c2, e2[0], sum(e2) - e2[0]) for e2, c2 in other.terms.items()]
+        for e1, c1 in self.terms.items():
+            t1 = e1[0]
+            xy1 = sum(e1) - t1
+            for e2, c2, t2, xy2 in right:
+                if t1 + t2 > dt or xy1 + xy2 > dxy:
+                    if strict:
+                        raise WindowOverflowError(
+                            f"product multi-index {tuple(map(add, e1, e2))} "
+                            f"exceeds window {trunc}")
+                    continue
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, _ZERO) + c1 * c2
+        return self._new(trunc, terms)
+
+    def pow(self, n: int):
         if n < 0:
-            raise ValueError("negative powers not supported")
-        result = FormalSeries.one(self.vars, self.trunc)
+            raise DegenerateError("negative powers not supported")
+        out = self._constant(_ONE)
         for _ in range(n):
-            result = result * self
-        return result
+            out = out * self
+        return out
 
     def __eq__(self, other):
-        """Coefficient-wise equality on the common truncation window."""
-        if not isinstance(other, FormalSeries):
+        """Coefficient-wise equality, on the common window if windowed."""
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.vars != other.vars:
             return False
-        window = self.trunc.meet(other.trunc)
+        window = self._meet(other)
+        if window is None:
+            return self.terms == other.terms
         for e in set(self.terms) | set(other.terms):
             if window.admits(e) and self.coeff(e) != other.coeff(e):
                 return False
         return True
 
     def __hash__(self):
-        raise TypeError("FormalSeries is not hashable")
+        raise TypeError(f"{type(self).__name__} is not hashable")
 
-    # -- calculus ---------------------------------------------------------
+    # -- calculus and substitution ----------------------------------------
 
     def diff(self, name: str, order: int = 1, shrink_window: bool = True):
-        """Exact termwise partial derivative of the given order."""
+        """Exact termwise partial derivative of the given order; a window
+        shrinks by ``order`` in the differentiated direction unless
+        ``shrink_window`` is false."""
         i = self.vars.index(name)
         terms = {}
         for e, c in self.terms.items():
             k = e[i]
-            if k < order:
-                continue
-            fall = Fraction(factorial(k), factorial(k - order))
-            terms[e[:i] + (k - order,) + e[i + 1:]] = c * fall
+            if k >= order:
+                fall = factorial(k) // factorial(k - order)
+                terms[e[:i] + (k - order,) + e[i + 1:]] = c * fall
         trunc = self.trunc
-        if shrink_window and order:
+        if trunc is not None and shrink_window and order:
             if i == 0:
-                trunc = Truncation(max(self.trunc.deg_t - order, 0), self.trunc.deg_xy)
+                trunc = Truncation(max(trunc.deg_t - order, 0), trunc.deg_xy)
             else:
-                trunc = Truncation(self.trunc.deg_t, max(self.trunc.deg_xy - order, 0))
-        return FormalSeries(self.vars, trunc, terms)
+                trunc = Truncation(trunc.deg_t, max(trunc.deg_xy - order, 0))
+        return self._new(trunc, terms)
+
+    def substitute(self, name: str, replacement, strict: bool = False):
+        """Exact substitution of ``replacement`` for one variable; with
+        ``strict``, a product term outside the window raises instead of being
+        dropped."""
+        i = self.vars.index(name)
+        replacement._check_compatible(self)
+        trunc = self._meet(replacement)
+        powers = {0: self._new(trunc, {(0,) * len(self.vars.names): _ONE})}
+
+        def times(a, b):
+            return a._times(b, trunc, strict=True) if strict else a * b
+
+        def power(k):
+            if k not in powers:
+                powers[k] = times(power(k - 1), replacement)
+            return powers[k]
+
+        by_exp = {}
+        for e, c in self.terms.items():
+            by_exp.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        out = self._new(trunc, {})
+        for k, part in sorted(by_exp.items()):
+            out = out + times(self._new(trunc, part), power(k))
+        return out
+
+    def evaluate_partial(self, bindings: dict):
+        """Substitute exact rationals for some variables.  A windowed series
+        keeps its distinguished variable free: the window caps it apart."""
+        if not bindings:
+            return self
+        if self.trunc is not None and self.vars.distinguished in bindings:
+            raise BindingError("cannot bind the distinguished variable")
+        idx = {self.vars.index(k): as_rat(v) for k, v in bindings.items()}
+        terms = {}
+        for e, c in self.terms.items():
+            key = list(e)
+            for i, v in idx.items():
+                c *= v ** e[i]
+                key[i] = 0
+            key = tuple(key)
+            terms[key] = terms.get(key, _ZERO) + c
+        return self._new(self.trunc, terms)
+
+    def evaluate(self, bindings: dict):
+        """Full evaluation; exact with rational bindings, numeric otherwise."""
+        missing = [n for n in self.vars.names if n not in bindings]
+        if missing:
+            raise UnknownVariableError(f"missing bindings for {missing}")
+        vals = [bindings[n] for n in self.vars.names]
+        total = _ZERO
+        for e, c in self.terms.items():
+            v = c
+            for x, k in zip(vals, e):
+                if k:
+                    v = v * x ** k
+            total = total + v
+        return total
+
+    def rehome(self, vars: VariableSet):
+        """The same terms over another variable set, which must contain every
+        variable they mention.  The window is kept: widen it first if terms
+        move between the distinguished and the other variables."""
+        pos = []
+        for j, n in enumerate(self.vars.names):
+            if n in vars.names:
+                pos.append((j, vars.index(n)))
+            elif any(e[j] for e in self.terms):
+                raise UnknownVariableError(f"variable {n!r} not in target set")
+        width = len(vars.names)
+        terms = {}
+        for e, c in self.terms.items():
+            key = [0] * width
+            for j, t in pos:
+                key[t] = e[j]
+            terms[tuple(key)] = c
+        return self._new(self.trunc, terms, vars)
+
+    # -- canonical text form ----------------------------------------------
+
+    def __str__(self):
+        return format_terms(self.terms, self.vars.names)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class FormalSeries(SparseTerms):
+    """Truncated series ``FormalSeries(vars, trunc, terms)``: the window caps
+    the distinguished degree and the joint degree of the other variables."""
+
+    __slots__ = ()
+
+    def dist_coeff_list(self, order=None) -> list:
+        """Rational coefficients along the distinguished axis (univariate series only)."""
+        if any(sum(e[1:]) for e in self.terms):
+            raise VariableMismatchError("dist_coeff_list requires a univariate series")
+        top = self.trunc.deg_t if order is None else order
+        return [self.terms.get((n,) + (0,) * (len(self.vars.names) - 1), _ZERO)
+                for n in range(top + 1)]
 
     def antiderivative(self, name: str) -> "FormalSeries":
         """Exact antiderivative vanishing at ``name`` = 0."""
@@ -283,7 +465,7 @@ class FormalSeries:
                 raise WindowOverflowError(
                     f"antiderivative of {e} in {name} leaves the window {self.trunc}")
             terms[key] = c / (e[i] + 1)
-        return FormalSeries(self.vars, self.trunc, terms)
+        return self._new(self.trunc, terms)
 
     def integrate(self, name: str, upper: "FormalSeries" = None) -> "FormalSeries":
         """Integrate from 0; with ``upper`` given, substitute it for ``name``.
@@ -296,101 +478,24 @@ class FormalSeries:
             return prim
         return prim.substitute(name, upper, strict=True)
 
-    def substitute(self, name: str, replacement: "FormalSeries", strict: bool = False):
-        """Exact substitution of a polynomial series for one variable."""
-        self.vars.index(name)
-        replacement._check_compatible(self)
-        i = self.vars.index(name)
-        trunc = self.trunc.meet(replacement.trunc)
-        powers = {0: FormalSeries.one(self.vars, trunc)}
-
-        def power(k):
-            if k not in powers:
-                powers[k] = power(k - 1)._mul_checked(replacement, trunc, strict)
-            return powers[k]
-
-        out = FormalSeries.zero(self.vars, trunc)
-        by_exp = {}
-        for e, c in self.terms.items():
-            rest = e[:i] + (0,) + e[i + 1:]
-            by_exp.setdefault(e[i], {})[rest] = c
-        for k, part in sorted(by_exp.items()):
-            out = out + FormalSeries(self.vars, trunc, part)._mul_checked(power(k), trunc, strict)
-        return out
-
-    def _mul_checked(self, other, trunc, strict):
-        if not strict:
-            return self * other
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if not trunc.admits(e):
-                    raise WindowOverflowError(
-                        f"product multi-index {e} exceeds window {trunc}")
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return FormalSeries(self.vars, trunc, terms)
-
-    def evaluate_partial(self, bindings: dict) -> "FormalSeries":
-        """Substitute exact rationals for non-distinguished variables."""
-        if not bindings:
-            return self
-        if self.vars.distinguished in bindings:
-            raise BindingError("cannot bind the distinguished variable")
-        idx = {self.vars.index(k): as_rat(v) for k, v in bindings.items()}
-        terms = {}
-        for e, c in self.terms.items():
-            val = c
-            key = list(e)
-            for i, v in idx.items():
-                val *= v ** e[i]
-                key[i] = 0
-            key = tuple(key)
-            terms[key] = terms.get(key, Fraction(0)) + val
-        return FormalSeries(self.vars, self.trunc, terms)
-
     # -- shape changes ----------------------------------------------------
 
     def truncate(self, trunc: Truncation) -> "FormalSeries":
-        return FormalSeries(self.vars, trunc, self.terms)
+        return self._new(trunc, self.terms)
 
     def rename_distinguished(self, name: str) -> "FormalSeries":
-        return FormalSeries(self.vars.renamed_distinguished(name), self.trunc, self.terms)
+        return self._new(self.trunc, self.terms, self.vars.renamed_distinguished(name))
 
     def embed(self, vars: VariableSet, trunc: Truncation) -> "FormalSeries":
-        """Re-home into a larger variable set (old variables must all be present)."""
-        pos = [vars.index(n) for n in self.vars.names]
-        width = len(vars.names)
-        terms = {}
-        for e, c in self.terms.items():
-            key = [0] * width
-            for p, k in zip(pos, e):
-                key[p] = k
-            terms[tuple(key)] = c
-        return FormalSeries(vars, trunc, terms)
+        """Widen the window to ``trunc``, then re-home into a larger variable set."""
+        return self.truncate(trunc).rehome(vars)
 
     def drop_vars(self, names) -> "FormalSeries":
         """Remove variables that no term mentions."""
-        drop = {self.vars.index(n) for n in names}
-        if 0 in drop:
+        if 0 in {self.vars.index(n) for n in names}:
             raise BindingError("cannot drop the distinguished variable")
-        for e in self.terms:
-            for i in drop:
-                if e[i]:
-                    raise VariableMismatchError(
-                        f"variable {self.vars.names[i]!r} still occurs")
-        keep = [i for i in range(len(self.vars.names)) if i not in drop]
-        vars = VariableSet(tuple(self.vars.names[i] for i in keep), dof=self.vars.dof)
-        terms = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
-        return FormalSeries(vars, self.trunc, terms)
-
-    # -- canonical text form ----------------------------------------------
-
-    def __str__(self):
-        return format_terms(self.terms, self.vars.names)
-
-    def __repr__(self):
-        return f"FormalSeries({self})"
+        keep = tuple(n for n in self.vars.names if n not in names)
+        return self.rehome(VariableSet(keep, dof=self.vars.dof))
 
 
 # -- repo-wide text grammar ----------------------------------------------
@@ -466,10 +571,6 @@ def parse_terms(text: str):
     return terms
 
 
-def format_rational(c: Fraction) -> str:
-    return str(c)
-
-
 def _monomial_key(expo: tuple):
     # graded lexicographic, descending
     return (-sum(expo), tuple(-e for e in expo))
@@ -488,7 +589,7 @@ def format_terms(terms: dict, names: tuple) -> str:
                    for i in order if expo[i]]
         mag = abs(c)
         if not factors or mag != 1:
-            factors.insert(0, format_rational(mag))
+            factors.insert(0, str(mag))
         body = "*".join(factors)
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")

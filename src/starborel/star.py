@@ -15,8 +15,10 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .errors import VariableMismatchError
+from .errors import StarBorelError, VariableMismatchError
 from .series import FormalSeries, Truncation
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,16 @@ def _phase_pairs(vars):
     return [(vars.q_name(j), vars.p_name(j)) for j in range(1, vars.dof + 1)]
 
 
+def add_shifted(acc: dict, term: FormalSeries, k: int, coef: Fraction, trunc: Truncation):
+    """acc += coef * t^k * term, termwise, keeping only the multi-indices
+    inside ``trunc``."""
+    dt, dxy = trunc.deg_t - k, trunc.deg_xy
+    for e, c in term.terms.items():
+        if e[0] <= dt and sum(e) - e[0] <= dxy:
+            key = (e[0] + k,) + e[1:]
+            acc[key] = acc.get(key, _ZERO) + c * coef
+
+
 def _diff_multi(f: FormalSeries, names, orders) -> FormalSeries:
     for name, k in zip(names, orders):
         if k:
@@ -53,9 +65,8 @@ def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     vars = f.vars
     pairs = _phase_pairs(vars)
     trunc = f.trunc.meet(g.trunc)
-    t_idx = 0
     ranges = [range(min(f.degree(p), g.degree(q)) + 1) for q, p in pairs]
-    out = FormalSeries.zero(vars, trunc)
+    acc = {}
     for kvec in product(*ranges):
         k = sum(kvec)
         if k > trunc.deg_t:
@@ -69,15 +80,8 @@ def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
         coef = Fraction(1)
         for kj in kvec:
             coef /= factorial(kj)
-        term = df * dg * coef
-        # multiply by t^k
-        shifted = {}
-        for e, c in term.terms.items():
-            key = (e[t_idx] + k,) + e[1:]
-            if trunc.admits(key):
-                shifted[key] = shifted.get(key, Fraction(0)) + c
-        out = out + FormalSeries(vars, trunc, shifted)
-    return out
+        add_shifted(acc, df * dg, k, coef, trunc)
+    return FormalSeries(vars, trunc, acc)
 
 
 def moyal_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
@@ -95,7 +99,7 @@ def moyal_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     n_ranges = [range(min(f.degree(q), g.degree(p)) + 1) for q, p in pairs]
     qn = [q for q, p in pairs]
     pn = [p for q, p in pairs]
-    out = FormalSeries.zero(vars, trunc)
+    acc = {}
     for mvec in product(*m_ranges):
         for nvec in product(*n_ranges):
             k = sum(mvec) + sum(nvec)
@@ -110,14 +114,8 @@ def moyal_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
             coef = Fraction((-1) ** sum(nvec), 2 ** k)
             for mj, nj in zip(mvec, nvec):
                 coef /= factorial(mj) * factorial(nj)
-            term = df * dg * coef
-            shifted = {}
-            for e, c in term.terms.items():
-                key = (e[0] + k,) + e[1:]
-                if trunc.admits(key):
-                    shifted[key] = shifted.get(key, Fraction(0)) + c
-            out = out + FormalSeries(vars, trunc, shifted)
-    return out
+            add_shifted(acc, df * dg, k, coef, trunc)
+    return FormalSeries(vars, trunc, acc)
 
 
 def star(f: FormalSeries, g: FormalSeries, kind: StarKind = STANDARD) -> FormalSeries:
@@ -127,7 +125,8 @@ def star(f: FormalSeries, g: FormalSeries, kind: StarKind = STANDARD) -> FormalS
 def moyal_commutator(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     """[f, g]_M = (f ⋆_M g - g ⋆_M f) / t; its t^0 part is the Poisson bracket."""
     c = moyal_star(f, g) - moyal_star(g, f)
-    assert all(e[0] >= 1 for e in c.terms), "Moyal commutator not divisible by t"
+    if any(e[0] == 0 for e in c.terms):
+        raise StarBorelError("Moyal commutator not divisible by t")
     trunc = Truncation(max(c.trunc.deg_t - 1, 0), c.trunc.deg_xy)
     return FormalSeries(c.vars, trunc, {(e[0] - 1,) + e[1:]: v for e, v in c.terms.items()})
 
@@ -147,20 +146,14 @@ def transition_T(f: FormalSeries, inverse: bool = False) -> FormalSeries:
     pairs = _phase_pairs(f.vars)
     trunc = f.trunc
     half = Fraction(1, 2) if inverse else Fraction(-1, 2)
-    out = FormalSeries.zero(f.vars, trunc)
+    acc = {}
     h = f
     j = 0
     while not h.is_zero and j <= trunc.deg_t:
-        coef = half ** j / factorial(j)
-        shifted = {}
-        for e, c in h.terms.items():
-            key = (e[0] + j,) + e[1:]
-            if trunc.admits(key):
-                shifted[key] = shifted.get(key, Fraction(0)) + c * coef
-        out = out + FormalSeries(f.vars, trunc, shifted)
+        add_shifted(acc, h, j, half ** j / factorial(j), trunc)
         nxt = FormalSeries.zero(f.vars, trunc)
         for q, p in pairs:
             nxt = nxt + h.diff(q, shrink_window=False).diff(p, shrink_window=False)
         h = nxt
         j += 1
-    return out
+    return FormalSeries(f.vars, trunc, acc)

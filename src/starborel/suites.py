@@ -112,22 +112,20 @@ def examples_suite() -> tuple:
     # Euler-type product: coefficient of t^k is k! ((1-p)(1-q))^{-k-1} expanded
     prod = euler_product_tseries(V, T)
     c = S("1 - p - q + p*q")  # (1-p)(1-q)
-    euler_ok = True
     from math import factorial
-    for k in range(T.deg_t + 1):
+    parts = prod.univariate_coeffs("t")
+    euler_ok = len(parts) == T.deg_t + 1
+    for k, part in enumerate(parts):
         # k! c^{-k-1} expanded: compare c^{k+1} * (coeff of t^k) with k!
-        part = FormalSeries(V, T, {(0,) + e[1:]: v for e, v in prod.terms.items()
-                                   if e[0] == k})
         euler_ok &= c.pow(k + 1) * part == FormalSeries.constant(V, T, factorial(k))
     ok &= _check(lines, "Euler-type product coefficients k! ((1-p)(1-q))^(-k-1)", euler_ok)
 
     bprod = borel(prod)
     Vx = bprod.vars
     cx = FormalSeries.from_string("1 - p - q + p*q", Vx, T)
-    geo_ok = True
-    for k in range(T.deg_t + 1):
-        part = FormalSeries(Vx, T, {(0,) + e[1:]: v for e, v in bprod.terms.items()
-                                    if e[0] == k})
+    parts = bprod.univariate_coeffs("xi")
+    geo_ok = len(parts) == T.deg_t + 1
+    for k, part in enumerate(parts):
         geo_ok &= cx.pow(k + 1) * part == FormalSeries.one(Vx, T)
     ok &= _check(lines, "Borel image is geometric in xi/((1-p)(1-q))", geo_ok)
 
@@ -136,19 +134,17 @@ def examples_suite() -> tuple:
     Tpad = Truncation(T.deg_t, 2 * T.deg_xy)
     lg = standard_star(log_tseries(V, Tpad, "p"),
                        log_tseries(V, Tpad, "q")).truncate(T)
-    log_ok = True
-    for k in range(1, T.deg_t + 1):
-        part = FormalSeries(V, T, {(0,) + e[1:]: v for e, v in lg.terms.items()
-                                   if e[0] == k})
+    parts = lg.univariate_coeffs("t")
+    log_ok = len(parts) == T.deg_t + 1
+    for k, part in enumerate(parts[1:], 1):
         want = FormalSeries.constant(V, T, Fraction(factorial(k - 1), k))
         log_ok &= c.pow(k) * part == want
     ok &= _check(lines, "log star log coefficients (k-1)!/k ((1-p)(1-q))^(-k)", log_ok)
 
     blg = borel(lg)
-    li_ok = True
-    for k in range(1, T.deg_t + 1):
-        part = FormalSeries(Vx, T, {(0,) + e[1:]: v for e, v in blg.terms.items()
-                                    if e[0] == k})
+    parts = blg.univariate_coeffs("xi")
+    li_ok = len(parts) == T.deg_t + 1
+    for k, part in enumerate(parts[1:], 1):
         li_ok &= cx.pow(k) * part == FormalSeries.constant(Vx, T, Fraction(1, k * k))
     ok &= _check(lines, "Borel image carries dilogarithm coefficients 1/k^2", li_ok)
 

@@ -56,17 +56,6 @@ def radius_estimate(coeffs, method: str = "ratio") -> float:
     return sum(ratios) / len(ratios)
 
 
-def radius_spread(coeffs) -> float:
-    """Spread (max - min) of the last 5 consecutive ratios; 0 for geometric tails."""
-    vals = [float(c) for c in coeffs]
-    nonzero = [k for k, v in enumerate(vals) if v != 0.0]
-    pairs = [(k, k + 1) for k in nonzero if k + 1 in set(nonzero)]
-    if len(pairs) < 5:
-        raise DegenerateError("too few consecutive nonzero pairs")
-    ratios = [abs(vals[a] / vals[b]) for a, b in pairs[-5:]]
-    return max(ratios) - min(ratios)
-
-
 def locus_distance_xi(V: Variety, point: dict, exclude_origin: bool = True) -> float:
     """Minimum modulus over the roots in the one unbound variable of every
     bound leaf; +inf when every bound leaf is a nonzero constant.

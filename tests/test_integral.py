@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from starborel import (
     MOYAL,
     STANDARD,
@@ -117,3 +119,14 @@ class TestHadamardContour:
                              {(k,): Fraction(rng.randrange(-4, 5))
                               for k in range(7)})
             assert hadamard_contour(a, b) == hadamard(a, b)
+
+
+def test_average_rejects_odd_half_power_at_mode_zero():
+    from starborel import StarBorelError
+    from starborel.integral import TrigExpansion
+
+    vars = VariableSet(("xi", "_e1", "q", "p"))
+    v = FormalSeries.from_string("q", vars, T1)
+    expansion = TrigExpansion(1, {((0,), (1,)): v})
+    with pytest.raises(StarBorelError, match="odd half power"):
+        expansion.average(["_e1"])

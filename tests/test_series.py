@@ -5,7 +5,9 @@ import pytest
 
 from starborel import (
     BindingError,
+    DegenerateError,
     FormalSeries,
+    MultiPoly,
     ParseError,
     Truncation,
     UnknownVariableError,
@@ -87,6 +89,10 @@ class TestRing:
 
     def test_pow(self):
         assert S("1 + p").pow(3) == S("1 + 3*p + 3*p^2 + p^3")
+        with pytest.raises(DegenerateError):
+            S("1 + p").pow(-1)
+        with pytest.raises(DegenerateError):
+            MultiPoly.from_string("1 + p", V).pow(-1)
 
 
 class TestCalculus:

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from starborel import (
     MOYAL,
     STANDARD,
@@ -151,3 +153,15 @@ def test_dispatcher():
     f, g = S("p"), S("q")
     assert star(f, g, STANDARD) == standard_star(f, g)
     assert star(f, g, MOYAL) == moyal_star(f, g)
+
+
+def test_commutator_checks_divisibility_by_t(monkeypatch):
+    from importlib import import_module
+
+    from starborel import StarBorelError
+
+    star_mod = import_module("starborel.star")  # the package binds the name to star()
+    # a "product" that leaves f - g, with its t^0 terms, in the commutator
+    monkeypatch.setattr(star_mod, "moyal_star", lambda f, g: f)
+    with pytest.raises(StarBorelError, match="not divisible by t"):
+        moyal_commutator(S("p"), S("q"))

@@ -18,15 +18,7 @@ from .errors import StarBorelError
 from .locus import conv_locus, hadamard_locus_1d, hadamard_locus_5var, odot_locus
 from .poly import MultiPoly, UniOverPoly, simple_decompose, sylvester_resultant
 from .series import FormalSeries, Truncation, VariableSet, as_rat
-from .star import MOYAL, STANDARD, star as star_fn, transition_T
-
-
-def _kind(name: str):
-    return MOYAL if name == "moyal" else STANDARD
-
-
-def _phase(dof: int, deform: str) -> VariableSet:
-    return VariableSet.phase_space(dof, deform)
+from .star import StarKind, star as star_fn, transition_T
 
 
 def _emit(text: str, as_json: bool):
@@ -49,6 +41,8 @@ dof_opt = click.option("--dof", default=1, show_default=True,
                        help="number of (q, p) pairs")
 json_opt = click.option("--json", "as_json", is_flag=True,
                         help="machine-readable output")
+kind_opt = click.option("--kind", type=click.Choice(["standard", "moyal"]),
+                        default="standard", show_default=True)
 
 
 @click.group()
@@ -60,18 +54,17 @@ def cli():
 @cli.command()
 @click.argument("f")
 @click.argument("g")
-@click.option("--kind", type=click.Choice(["standard", "moyal"]), default="standard",
-              show_default=True)
+@kind_opt
 @dof_opt
 @trunc_t_opt
 @trunc_xy_opt
 @json_opt
 def star(f, g, kind, dof, trunc_t, trunc_xy, as_json):
     """Star product of two t-plane series."""
-    vars = _phase(dof, "t")
+    vars = VariableSet.phase_space(dof, "t")
     trunc = Truncation(trunc_t, trunc_xy)
     out = star_fn(FormalSeries.from_string(f, vars, trunc),
-                  FormalSeries.from_string(g, vars, trunc), _kind(kind))
+                  FormalSeries.from_string(g, vars, trunc), StarKind(kind))
     _emit(str(out), as_json)
 
 
@@ -83,7 +76,7 @@ def star(f, g, kind, dof, trunc_t, trunc_xy, as_json):
 @json_opt
 def borel(f, dof, trunc_t, trunc_xy, as_json):
     """Borel transform t^n -> xi^n/n! of a t-plane series."""
-    vars = _phase(dof, "t")
+    vars = VariableSet.phase_space(dof, "t")
     trunc = Truncation(trunc_t, trunc_xy)
     _emit(str(borel_fn(FormalSeries.from_string(f, vars, trunc))), as_json)
 
@@ -96,7 +89,7 @@ def borel(f, dof, trunc_t, trunc_xy, as_json):
 @json_opt
 def unborel(fhat, dof, trunc_t, trunc_xy, as_json):
     """Inverse Borel transform xi^n -> n! t^n."""
-    vars = _phase(dof, "xi")
+    vars = VariableSet.phase_space(dof, "xi")
     trunc = Truncation(trunc_t, trunc_xy)
     _emit(str(inverse_borel(FormalSeries.from_string(fhat, vars, trunc))), as_json)
 
@@ -104,18 +97,17 @@ def unborel(fhat, dof, trunc_t, trunc_xy, as_json):
 @cli.command("borel-star")
 @click.argument("fhat")
 @click.argument("ghat")
-@click.option("--kind", type=click.Choice(["standard", "moyal"]), default="standard",
-              show_default=True)
+@kind_opt
 @dof_opt
 @trunc_t_opt
 @trunc_xy_opt
 @json_opt
 def borel_star_cmd(fhat, ghat, kind, dof, trunc_t, trunc_xy, as_json):
     """Borel-plane star product of two xi-plane series."""
-    vars = _phase(dof, "xi")
+    vars = VariableSet.phase_space(dof, "xi")
     trunc = Truncation(trunc_t, trunc_xy)
     out = borel_star(FormalSeries.from_string(fhat, vars, trunc),
-                     FormalSeries.from_string(ghat, vars, trunc), _kind(kind))
+                     FormalSeries.from_string(ghat, vars, trunc), StarKind(kind))
     _emit(str(out), as_json)
 
 
@@ -132,10 +124,10 @@ def transition(f, inverse, borel_plane, dof, trunc_t, trunc_xy, as_json):
     """Transition operator between the standard and Moyal products."""
     trunc = Truncation(trunc_t, trunc_xy)
     if borel_plane:
-        vars = _phase(dof, "xi")
+        vars = VariableSet.phase_space(dof, "xi")
         out = borel_T(FormalSeries.from_string(f, vars, trunc), inverse=inverse)
     else:
-        vars = _phase(dof, "t")
+        vars = VariableSet.phase_space(dof, "t")
         out = transition_T(FormalSeries.from_string(f, vars, trunc), inverse=inverse)
     _emit(str(out), as_json)
 

@@ -149,13 +149,13 @@ class TrigExpansion:
 
 # -- shared wiring ---------------------------------------------------------
 
-def _extended_ring(base: VariableSet, extra, margin_t: int, margin_xy: int,
+def _extended_ring(base: VariableSet, extra, margin: int,
                    f: FormalSeries, g: FormalSeries = None):
     """Ring with helper variables appended and a window wide enough that all
     strict substitutions along the simplex integrals stay exact."""
     series = [f] if g is None else [f, g]
     total = sum(s.trunc.deg_t + s.trunc.deg_xy for s in series)
-    cap = total + margin_t + margin_xy
+    cap = total + margin
     vars = VariableSet(base.names + tuple(extra), dof=base.dof)
     trunc = Truncation(cap, cap)
     return vars, trunc
@@ -200,7 +200,7 @@ def eval_formulahigh(fhat: FormalSeries, ghat: FormalSeries, r: int = None) -> F
     if fhat.is_zero or ghat.is_zero:
         return FormalSeries.zero(base, fhat.trunc.meet(ghat.trunc))
     helpers = [f"_e{j}" for j in range(1, r + 3)]
-    vars, trunc = _extended_ring(base, helpers, r + 2, 0, fhat, ghat)
+    vars, trunc = _extended_ring(base, helpers, r + 2, fhat, ghat)
     xi = FormalSeries.variable(vars, trunc, base.distinguished)
     # f's xi goes to e_{r+1}, g's to e_{r+2}
     fbig = fhat.rename_distinguished(helpers[r]).truncate(trunc).rehome(vars)
@@ -237,7 +237,7 @@ def eval_moyal_rep(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
         return FormalSeries.zero(base, fhat.trunc.meet(ghat.trunc))
     q, p = base.q_name(1), base.p_name(1)
     helpers = ["_e1", "_e2", "_e3", "_e4"]
-    vars, trunc = _extended_ring(base, helpers, 4, 0, fhat, ghat)
+    vars, trunc = _extended_ring(base, helpers, 4, fhat, ghat)
     xi = FormalSeries.variable(vars, trunc, base.distinguished)
     e3 = FormalSeries.variable(vars, trunc, "_e3")
     e4 = FormalSeries.variable(vars, trunc, "_e4")
@@ -292,7 +292,7 @@ def eval_That_rep(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
         raise VariableMismatchError("this representation is stated for dof 1")
     q, p = base.q_name(1), base.p_name(1)
     helpers = ["_e1"]
-    vars, trunc = _extended_ring(base, helpers, 1, 0, fhat)
+    vars, trunc = _extended_ring(base, helpers, 1, fhat)
     xi = FormalSeries.variable(vars, trunc, base.distinguished)
     e1 = FormalSeries.variable(vars, trunc, "_e1")
     fbig = fhat.truncate(trunc).rehome(vars).substitute(base.distinguished, xi - e1, strict=True)

@@ -196,19 +196,12 @@ def hadamard_locus_5var(Pf: UniOverPoly, Qg: UniOverPoly) -> Variety:
         raise NotSimpleError("Qg is not square-free in 'q'")
     ring = VariableSet(_H5_NAMES + ("z",), dof=0)
     z = MultiPoly.variable(ring, "z")
-    xi3 = MultiPoly.variable(ring, "xi3")
-    qv = MultiPoly.variable(ring, "q")
     pv = MultiPoly.variable(ring, "p")
 
     # Pf(xi1, q, p+z)
     f_shift = Pf.to_multipoly().rehome(ring).substitute("p", pv + z)
-
-    # z^N Qg(xi2, q + xi3/z, p) = sum_k b_k (q z + xi3)^k z^{N-k}
-    N = Qg.degree
-    core = qv * z + xi3
-    g_clear = MultiPoly.zero(ring)
-    for k, b in enumerate(Qg.coeffs):
-        g_clear = g_clear + b.rehome(ring) * core.pow(k) * z.pow(N - k)
+    # z^N Qg(xi2, q + xi3/z, p)
+    g_clear = _cleared_family(Qg.coeffs, ring, "q", "xi3", "z")
 
     W = f_shift * g_clear
     if W.is_zero:
@@ -231,20 +224,23 @@ def odot_locus(P: MultiPoly, i: str, j: str, xi: str = "xi", z: str = "z") -> Va
     if xi in P.vars.names or z in P.vars.names:
         raise VariableMismatchError("helper names collide with existing variables")
     ring = VariableSet(P.vars.names + (xi, z), dof=0)
-    zv = MultiPoly.variable(ring, z)
-    xiv = MultiPoly.variable(ring, xi)
-    iv = MultiPoly.variable(ring, i)
-    jv = MultiPoly.variable(ring, j)
-
-    N = P.degree(j)
-    core = jv * zv + xiv
-    Q = MultiPoly.zero(ring)
-    for k, b in enumerate(P.univariate_coeffs(j)):
-        Q = Q + b.rehome(ring) * core.pow(k) * zv.pow(N - k)
-    Q = Q.substitute(i, iv + zv)
+    Q = _cleared_family(P.univariate_coeffs(j), ring, j, xi, z)
+    Q = Q.substitute(i, MultiPoly.variable(ring, i) + MultiPoly.variable(ring, z))
 
     locus_vars = VariableSet((xi,) + P.vars.names, dof=0)
     return Variety(locus_vars, [_clearing_leaves(UniOverPoly.from_multipoly(Q, z), locus_vars)])
+
+
+def _cleared_family(coeffs, ring: VariableSet, x: str, xi: str, z: str) -> MultiPoly:
+    """z^N Q(x + xi/z) = sum_k b_k (x z + xi)^k z^(N-k) over ``ring``, for
+    Q = sum_k b_k x^k of degree N given by its coefficients b_0..b_N."""
+    zv = MultiPoly.variable(ring, z)
+    core = MultiPoly.variable(ring, x) * zv + MultiPoly.variable(ring, xi)
+    N = len(coeffs) - 1
+    out = MultiPoly.zero(ring)
+    for k, b in enumerate(coeffs):
+        out = out + b.rehome(ring) * core.pow(k) * zv.pow(N - k)
+    return out
 
 
 def _clearing_leaves(U: UniOverPoly, locus_vars: VariableSet) -> list:

@@ -340,7 +340,7 @@ def discriminant_locus(P: UniOverPoly) -> MultiPoly:
     return sylvester_resultant(P, P.diff())
 
 
-# -- the locus-building transforms ----------------------------------------
+# -- shift and reciprocal transforms --------------------------------------
 
 def shift_transform(P: MultiPoly, var: str, by: MultiPoly) -> MultiPoly:
     """Substitute var -> var + by."""

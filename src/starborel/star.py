@@ -1,24 +1,36 @@
 """Standard and Moyal star products, the Moyal commutator, and the
 transition operator intertwining them, for N degrees of freedom.
 
-The exponential bidifferential operators are evaluated as finite sums: the
-summation order is bounded by the distinguished-degree cap and by the actual
-(q, p)-degrees of the inputs, so polynomial inputs come out exact.  For
-truncated inputs the caller is responsible for padding the window (derivatives
-of a truncation are only reliable below the padded degree).
+All three are exponentials of constant-coefficient differential operators,
+evaluated by one kernel: exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) applied to f ⊗ g
+and multiplied out on the common window.  A pairing (a_e, b_e, w_e) names
+the derivatives taken of f, those taken of g, and a rational weight.  Per
+degree of freedom (q, p) the pairings are (∂_p ⊗ ∂_q, 1) for the standard
+product, (∂_p ⊗ ∂_q, 1/2) and (∂_q ⊗ ∂_p, -1/2) for the Moyal product, and
+(∂_q ∂_p ⊗ 1, ∓1/2) on f and the unit series for T^{±1}.
+
+The sums stop at the distinguished-degree cap or where a derivative
+vanishes, so polynomial inputs come out exact.  For truncated inputs the
+caller pads the window (derivatives of a truncation are only reliable below
+the padded degree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import factorial
 
 from .errors import StarBorelError, VariableMismatchError
 from .series import FormalSeries, Truncation
 
 _ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
+
+# StarKind tag -> the pairings of one degree of freedom (q, p)
+_PAIRINGS = {
+    "standard": lambda q, p: [((p,), (q,), Fraction(1))],
+    "moyal": lambda q, p: [((p,), (q,), _HALF), ((q,), (p,), -_HALF)],
+}
 
 
 @dataclass(frozen=True)
@@ -26,7 +38,7 @@ class StarKind:
     tag: str
 
     def __post_init__(self):
-        if self.tag not in ("standard", "moyal"):
+        if self.tag not in _PAIRINGS:
             raise VariableMismatchError(f"unknown star kind {self.tag!r}")
 
 
@@ -50,76 +62,53 @@ def add_shifted(acc: dict, term: FormalSeries, k: int, coef: Fraction, trunc: Tr
             acc[key] = acc.get(key, _ZERO) + c * coef
 
 
-def _diff_multi(f: FormalSeries, names, orders) -> FormalSeries:
-    for name, k in zip(names, orders):
-        if k:
-            f = f.diff(name, k, shrink_window=False)
-            if f.is_zero:
-                break
+def _derive(f: FormalSeries, names) -> FormalSeries:
+    for name in names:
+        f = f.diff(name, shrink_window=False)
     return f
 
 
-def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
-    """f ⋆_S g = sum over k-vectors of t^|k|/∏k_j! (∂_p^k f)(∂_q^k g)."""
+def _exp_pairing(f: FormalSeries, g: FormalSeries, per_dof) -> FormalSeries:
+    """exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) (f ⊗ g) on the common window, over
+    the pairings ``per_dof(q_j, p_j)`` of every degree of freedom j.
+
+    Depth first over the pairings: the order-n derivatives of a pairing are
+    taken from its order-(n-1) ones, with weight w^n / n!, until either
+    vanishes or the total order passes the t-cap."""
     f._check_compatible(g)
-    vars = f.vars
-    pairs = _phase_pairs(vars)
     trunc = f.trunc.meet(g.trunc)
-    ranges = [range(min(f.degree(p), g.degree(q)) + 1) for q, p in pairs]
+    pairings = [e for q, p in _phase_pairs(f.vars) for e in per_dof(q, p)]
     acc = {}
-    for kvec in product(*ranges):
-        k = sum(kvec)
-        if k > trunc.deg_t:
-            continue
-        df = _diff_multi(f, [p for q, p in pairs], kvec)
-        if df.is_zero:
-            continue
-        dg = _diff_multi(g, [q for q, p in pairs], kvec)
-        if dg.is_zero:
-            continue
-        coef = Fraction(1)
-        for kj in kvec:
-            coef /= factorial(kj)
-        add_shifted(acc, df * dg, k, coef, trunc)
-    return FormalSeries(vars, trunc, acc)
+
+    def walk(i, df, dg, k, coef):
+        if i == len(pairings):
+            add_shifted(acc, df * dg, k, coef, trunc)
+            return
+        a, b, w = pairings[i]
+        n = 0
+        while not (df.is_zero or dg.is_zero):
+            walk(i + 1, df, dg, k + n, coef)
+            n += 1
+            if k + n > trunc.deg_t:
+                break
+            df, dg, coef = _derive(df, a), _derive(dg, b), coef * w / n
+
+    walk(0, f, g, 0, Fraction(1))
+    return FormalSeries(f.vars, trunc, acc)
+
+
+def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
+    """f ⋆_S g = exp(t Σ_j ∂_{p_j} ⊗ ∂_{q_j}) (f ⊗ g)."""
+    return _exp_pairing(f, g, _PAIRINGS["standard"])
 
 
 def moyal_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
-    """f ⋆_M g from the exponential of the antisymmetric bidifferential operator.
-
-    Expanded multinomially: the order-k term carries, for each pair of
-    count vectors (m, n) with |m| + |n| = k,
-    (-1)^|n| / (2^k ∏ m_j! n_j!) (∂_p^m ∂_q^n f)(∂_q^m ∂_p^n g) t^k.
-    """
-    f._check_compatible(g)
-    vars = f.vars
-    pairs = _phase_pairs(vars)
-    trunc = f.trunc.meet(g.trunc)
-    m_ranges = [range(min(f.degree(p), g.degree(q)) + 1) for q, p in pairs]
-    n_ranges = [range(min(f.degree(q), g.degree(p)) + 1) for q, p in pairs]
-    qn = [q for q, p in pairs]
-    pn = [p for q, p in pairs]
-    acc = {}
-    for mvec in product(*m_ranges):
-        for nvec in product(*n_ranges):
-            k = sum(mvec) + sum(nvec)
-            if k > trunc.deg_t:
-                continue
-            df = _diff_multi(_diff_multi(f, pn, mvec), qn, nvec)
-            if df.is_zero:
-                continue
-            dg = _diff_multi(_diff_multi(g, qn, mvec), pn, nvec)
-            if dg.is_zero:
-                continue
-            coef = Fraction((-1) ** sum(nvec), 2 ** k)
-            for mj, nj in zip(mvec, nvec):
-                coef /= factorial(mj) * factorial(nj)
-            add_shifted(acc, df * dg, k, coef, trunc)
-    return FormalSeries(vars, trunc, acc)
+    """f ⋆_M g = exp((t/2) Σ_j (∂_{p_j} ⊗ ∂_{q_j} - ∂_{q_j} ⊗ ∂_{p_j})) (f ⊗ g)."""
+    return _exp_pairing(f, g, _PAIRINGS["moyal"])
 
 
 def star(f: FormalSeries, g: FormalSeries, kind: StarKind = STANDARD) -> FormalSeries:
-    return moyal_star(f, g) if kind.tag == "moyal" else standard_star(f, g)
+    return moyal_star(f, g) if kind == MOYAL else standard_star(f, g)
 
 
 def moyal_commutator(f: FormalSeries, g: FormalSeries) -> FormalSeries:
@@ -143,17 +132,5 @@ def poisson_bracket(f: FormalSeries, g: FormalSeries) -> FormalSeries:
 
 def transition_T(f: FormalSeries, inverse: bool = False) -> FormalSeries:
     """T^{±1} f = exp(∓(t/2) Σ_j ∂_{q_j}∂_{p_j}) f, exact on the window."""
-    pairs = _phase_pairs(f.vars)
-    trunc = f.trunc
-    half = Fraction(1, 2) if inverse else Fraction(-1, 2)
-    acc = {}
-    h = f
-    j = 0
-    while not h.is_zero and j <= trunc.deg_t:
-        add_shifted(acc, h, j, half ** j / factorial(j), trunc)
-        nxt = FormalSeries.zero(f.vars, trunc)
-        for q, p in pairs:
-            nxt = nxt + h.diff(q, shrink_window=False).diff(p, shrink_window=False)
-        h = nxt
-        j += 1
-    return FormalSeries(f.vars, trunc, acc)
+    w = _HALF if inverse else -_HALF
+    return _exp_pairing(f, FormalSeries.one(f.vars, f.trunc), lambda q, p: [((q, p), (), w)])

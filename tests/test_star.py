@@ -7,7 +7,9 @@ from starborel import (
     MOYAL,
     STANDARD,
     FormalSeries,
+    StarKind,
     Truncation,
+    VariableMismatchError,
     VariableSet,
     moyal_commutator,
     moyal_star,
@@ -136,12 +138,13 @@ class TestTransition:
             rhs = moyal_star(transition_T(f), transition_T(g))
             assert lhs == rhs
 
-    def test_intertwines_two_dof(self):
+    @pytest.mark.parametrize("dof", [2, 3])
+    def test_intertwines_two_dof(self, dof):
         rng = random.Random(26)
-        V2 = VariableSet.phase_space(2)
+        V = VariableSet.phase_space(dof)
         for _ in range(10):
-            f = rand_poly(rng, V2, TBIG)
-            g = rand_poly(rng, V2, TBIG)
+            f = rand_poly(rng, V, TBIG)
+            g = rand_poly(rng, V, TBIG)
             assert transition_T(standard_star(f, g)) == \
                 moyal_star(transition_T(f), transition_T(g))
 
@@ -149,10 +152,25 @@ class TestTransition:
         assert transition_T(S("p*q")) == S("p*q - 1/2*t")
 
 
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_last_pair_contracts(dof):
+    # the intertwining identity also holds if every product skips the same
+    # pair, so check each operator on the last pair directly
+    V = VariableSet.phase_space(dof)
+    p, q, t = (FormalSeries.variable(V, T66, name)
+               for name in (V.p_name(dof), V.q_name(dof), "t"))
+    half = Fraction(1, 2)
+    assert standard_star(p, q) == p * q + t
+    assert moyal_star(p, q) == p * q + half * t
+    assert transition_T(p * q) == p * q - half * t
+
+
 def test_dispatcher():
     f, g = S("p"), S("q")
     assert star(f, g, STANDARD) == standard_star(f, g)
     assert star(f, g, MOYAL) == moyal_star(f, g)
+    with pytest.raises(VariableMismatchError, match="unknown star kind"):
+        StarKind("weyl")
 
 
 def test_commutator_checks_divisibility_by_t(monkeypatch):

@@ -42,6 +42,18 @@ class TestRadiusEstimate:
         with pytest.raises(DegenerateError):
             radius_estimate([1, 2, 3])
 
+    def test_coefficients_beyond_float_range(self):
+        # 10^(40k) overflows a float from k = 8 on; the radius is 10^-40
+        coeffs = [Fraction(10) ** (40 * k) for k in range(15)]
+        assert radius_estimate(coeffs, "ratio") == pytest.approx(1e-40)
+        assert radius_estimate(coeffs, "root") == pytest.approx(1e-40)
+
+    def test_coefficients_below_float_range(self):
+        # 10^-(400+k) underflows to 0.0 as a float, yet every one is nonzero
+        coeffs = [Fraction(1, 10 ** (400 + k)) for k in range(15)]
+        assert radius_estimate(coeffs, "ratio") == pytest.approx(10.0)
+        assert radius_estimate(coeffs, "root") == pytest.approx(10 ** (414 / 14))
+
 
 class TestLocusDistance:
     def test_euler_sheet(self):

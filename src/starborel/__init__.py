@@ -23,7 +23,6 @@ from .errors import (
     WindowOverflowError,
 )
 from .integral import (
-    LaurentSlice,
     eval_borel_star_rep,
     eval_formulahigh,
     eval_moyal_rep,

@@ -280,9 +280,6 @@ def main(argv=None):
         cli.main(args=argv, standalone_mode=False)
     except SystemExit as exc:
         return exc.code or 0
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1

@@ -169,15 +169,13 @@ def mp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     if A.is_zero and B.is_zero:
         return MultiPoly.zero(A.vars)
     if A.is_zero:
-        return mp_divexact(B, MultiPoly.constant(B.vars, rational_content(B))) \
-            * abs(rational_content(B))
+        c = rational_content(B)
+        return B * (abs(c) / c)
     if B.is_zero:
         return mp_gcd(B, A)
     ca, cb = rational_content(A), rational_content(B)
     shared = rational_gcd(ca, cb)
-    A = mp_divexact(A, MultiPoly.constant(A.vars, ca))
-    B = mp_divexact(B, MultiPoly.constant(B.vars, cb))
-    g = _pp_gcd(A, B)
+    g = _pp_gcd(A * (1 / ca), B * (1 / cb))
     return g * shared
 
 
@@ -218,12 +216,9 @@ def _pp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
         if R.is_zero:
             B = R
         else:
-            rc = rational_content(R)
-            R = mp_divexact(R, MultiPoly.constant(R.vars, rc))
+            R = R * (1 / rational_content(R))
             B = mp_divexact(R, _content_in(R, var))
-    rc = rational_content(A)
-    A = mp_divexact(A, MultiPoly.constant(A.vars, rc))
-    return cont * A
+    return cont * (A * (1 / rational_content(A)))
 
 
 # -- the distinguished-variable calculus ----------------------------------
@@ -243,12 +238,9 @@ def content_primitive(P: UniOverPoly):
     return g, primitive
 
 
-def gcd_over_fraction_field(P: UniOverPoly, Q: UniOverPoly = None) -> UniOverPoly:
+def gcd_over_fraction_field(P: UniOverPoly, Q: UniOverPoly) -> UniOverPoly:
     """Gcd in F[var] (F the fraction field of the other variables),
-    denominator-cleared and primitive.  Q = None stands for the zero
-    polynomial: the result is then the primitive part of P."""
-    if Q is None:
-        return content_primitive(P)[1]
+    denominator-cleared and primitive."""
     if P.var != Q.var:
         raise VariableMismatchError(f"distinguished variables differ: {P.var} vs {Q.var}")
     g = mp_gcd(P.to_multipoly(), Q.to_multipoly())

@@ -39,28 +39,34 @@ def radius_estimate(coeffs, method: str = "ratio") -> float:
 
     ratio: mean of |a_k / a_{k+1}| over the last 5 consecutive nonzero pairs.
     root: |a_K|^{-1/K} at the largest nonzero index.
-    Zeros are tested exactly and ratio terms are rounded only after scaling,
-    so coefficients beyond the float range neither overflow nor vanish.
+    Zeros are tested exactly and ratios are rounded only after scaling, so
+    only a radius beyond the float range, not a coefficient, raises.
     """
     vals = [Fraction(c) for c in coeffs]
     nonzero = [k for k, v in enumerate(vals) if v]
     if len(nonzero) < 8:
         raise DegenerateError("need at least 8 nonzero coefficients")
-    if method == "root":
-        k = nonzero[-1]
-        a = abs(vals[k])
-        return math.exp((math.log(a.denominator) - math.log(a.numerator)) / k)
-    if method != "ratio":
+    if method not in ("ratio", "root"):
         raise DegenerateError(f"unknown method {method!r}")
-    pairs = [(k, k + 1) for k in nonzero if k + 1 in set(nonzero)]
-    if len(pairs) < 5:
+    pairs = [(vals[k], vals[k + 1]) for k in nonzero if k + 1 in set(nonzero)]
+    if method == "ratio" and len(pairs) < 5:
         raise DegenerateError("too few consecutive nonzero pairs for the ratio method")
-    ratios = []
-    for a, b in pairs[-5:]:
-        # a power of two that brings a near 1 keeps the float(a) / float(b) rounding
-        s = Fraction(2) ** (vals[a].denominator.bit_length() - vals[a].numerator.bit_length())
-        ratios.append(abs(float(vals[a] * s) / float(vals[b] * s)))
-    return sum(ratios) / len(ratios)
+    try:
+        if method == "root":
+            a = abs(vals[nonzero[-1]])
+            est = math.exp((math.log(a.denominator) - math.log(a.numerator)) / nonzero[-1])
+        else:
+            ratios = []
+            for a, b in pairs[-5:]:
+                # a power of two that brings a near 1 keeps the float(a) / float(b) rounding
+                s = Fraction(2) ** (a.denominator.bit_length() - a.numerator.bit_length())
+                ratios.append(abs(float(a * s) / float(b * s)))
+            est = sum(ratios) / len(ratios)
+    except (OverflowError, ZeroDivisionError):
+        est = math.inf
+    if not 0 < est < math.inf:
+        raise DegenerateError("radius outside the float range")
+    return est
 
 
 def locus_distance_xi(V: Variety, point: dict, exclude_origin: bool = True) -> float:

@@ -1,13 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from starborel import (
     MOYAL,
     STANDARD,
     FormalSeries,
-    LaurentSlice,
     Truncation,
     VariableSet,
     borel_T,
@@ -33,20 +30,6 @@ def rand_poly(rng, vars, trunc, nterms=4):
         e[0] = rng.randrange(2)
         terms[tuple(e)] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 3))
     return FormalSeries(vars, trunc, terms)
-
-
-class TestLaurentSlice:
-    def test_residue(self):
-        s = LaurentSlice({-1: 3, 0: 7, 2: 1})
-        assert s.residue() == 3
-        assert s.shift(-1).residue() == 7
-        assert s.shift(1).residue() is None
-
-    def test_arithmetic(self):
-        a = LaurentSlice({1: 2})
-        b = LaurentSlice({-2: 5})
-        assert (a * b).residue() == 10
-        assert (a + a).shift(-2).residue() == 4
 
 
 class TestStandardRep:
@@ -119,14 +102,3 @@ class TestHadamardContour:
                              {(k,): Fraction(rng.randrange(-4, 5))
                               for k in range(7)})
             assert hadamard_contour(a, b) == hadamard(a, b)
-
-
-def test_average_rejects_odd_half_power_at_mode_zero():
-    from starborel import StarBorelError
-    from starborel.integral import TrigExpansion
-
-    vars = VariableSet(("xi", "_e1", "q", "p"))
-    v = FormalSeries.from_string("q", vars, T1)
-    expansion = TrigExpansion(1, {((0,), (1,)): v})
-    with pytest.raises(StarBorelError, match="odd half power"):
-        expansion.average(["_e1"])

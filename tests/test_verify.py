@@ -54,6 +54,20 @@ class TestRadiusEstimate:
         assert radius_estimate(coeffs, "ratio") == pytest.approx(10.0)
         assert radius_estimate(coeffs, "root") == pytest.approx(10 ** (414 / 14))
 
+    @pytest.mark.parametrize("method", ["ratio", "root"])
+    def test_radius_above_float_range(self, method):
+        # coefficients 10^-(400k): the radius 10^400 has no float
+        coeffs = [Fraction(1, 10 ** (400 * k)) for k in range(15)]
+        with pytest.raises(DegenerateError, match="radius outside the float range"):
+            radius_estimate(coeffs, method)
+
+    @pytest.mark.parametrize("method", ["ratio", "root"])
+    def test_radius_below_float_range(self, method):
+        # coefficients 10^(400k): the radius 10^-400 would round to 0.0
+        coeffs = [Fraction(10) ** (400 * k) for k in range(15)]
+        with pytest.raises(DegenerateError, match="radius outside the float range"):
+            radius_estimate(coeffs, method)
+
 
 class TestLocusDistance:
     def test_euler_sheet(self):

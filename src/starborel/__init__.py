@@ -47,8 +47,6 @@ from .poly import (
     is_simple,
     mp_divexact,
     mp_gcd,
-    reciprocal_transform,
-    shift_transform,
     simple_decompose,
     sylvester_resultant,
 )

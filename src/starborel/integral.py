@@ -1,6 +1,6 @@
 """Exact termwise evaluation of the integral representations of the
-Borel-plane operators: nested simplex integrals with polynomial upper
-limits of an angular average or of a contour residue.
+Borel-plane operators: derivatives in xi of simplex integrals of an angular
+average or of a contour residue.
 
 These evaluators are deliberately independent of the conjugation-based
 definitions in :mod:`starborel.borel`; they serve as cross-check oracles.
@@ -8,12 +8,14 @@ Everything is computed over the rationals.  Each integrand is a product of
 f and g at arguments shifted by formal symbols (e^{+-i theta} on a circle,
 z^{+-1} on a contour).  Both factors are Taylor-expanded in their shifts, and
 the angular average or the residue keeps exactly the terms whose symbols
-cancel: the pairing of equal multi-indices of the two expansions.
+cancel: the pairing of equal multi-indices of the two expansions.  The
+simplex integral and its xi-derivatives are one closed-form termwise map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 
 from .errors import VariableMismatchError
 from .series import FormalSeries, Truncation, VariableSet
@@ -44,32 +46,29 @@ def _pair(fx: dict, gx: dict, zero: FormalSeries) -> FormalSeries:
     return sum((h * gx[a] for a, h in fx.items() if a in gx), zero)
 
 
-def _extended_ring(base: VariableSet, extra, *series):
-    """Ring with helper variables appended and a window wide enough that all
-    strict substitutions along the simplex integrals stay exact."""
-    cap = sum(s.trunc.deg_t + s.trunc.deg_xy for s in series) + len(extra)
+def _extended_ring(base: VariableSet, extra, out: Truncation):
+    """Ring with helper variables appended, windowed at cap = deg_t + deg_xy of
+    the output window ``out``: every step keeps or raises the joint degree a
+    term contributes to the output and the Dirichlet map preserves it, so a
+    term the window drops could never reach the output.  The xi cap is cap
+    too, as inputs are clipped while xi is still their distinguished name."""
+    cap = out.deg_t + out.deg_xy
     return VariableSet(base.names + tuple(extra), dof=base.dof), Truncation(cap, cap)
 
 
-def _simplex_integrate(h: FormalSeries, helper_names) -> FormalSeries:
-    """Innermost-first iterated integral over the simplex
-    0 <= sum(helpers) <= xi: the j-th upper limit is xi minus the earlier
-    helpers."""
-    xi = FormalSeries.variable(h.vars, h.trunc, h.vars.distinguished)
-    helpers = [FormalSeries.variable(h.vars, h.trunc, n) for n in helper_names]
-    for j in range(len(helper_names) - 1, -1, -1):
-        upper = xi
-        for earlier in helpers[:j]:
-            upper = upper - earlier
-        h = h.integrate(helper_names[j], upper=upper)
-    return h
-
-
-def _finish(h: FormalSeries, order: int, out_vars: VariableSet,
-            out_trunc: Truncation) -> FormalSeries:
-    """Apply d^order/d xi^order, drop the helpers, re-home to the base ring."""
-    h = h.diff(h.vars.distinguished, order, shrink_window=False)
-    return h.rehome(out_vars).truncate(out_trunc)
+def _dirichlet(h: FormalSeries, helpers, vars: VariableSet, trunc: Truncation) -> FormalSeries:
+    """d^n/dxi^n of the integral of h (free of xi) over the simplex 0 <= sum of
+    the n helpers <= xi, re-homed to ``vars`` on ``trunc``.  By Dirichlet's
+    formula the integral of prod e_j^{a_j} is prod a_j! / (|a| + n)! xi^{|a| + n},
+    so each term prod e_j^{a_j} m(q, p) maps to prod a_j! / |a|! xi^{|a|} m(q, p)."""
+    idx = [h.vars.index(n) for n in helpers]
+    keep = [h.vars.index(n) for n in vars.names[1:]]
+    terms = {}
+    for e, c in h.terms.items():
+        a = [e[i] for i in idx]
+        key = (sum(a),) + tuple(e[i] for i in keep)
+        terms[key] = terms.get(key, 0) + c * prod(map(factorial, a)) / factorial(sum(a))
+    return FormalSeries(vars, trunc, terms)
 
 
 # -- the representations ---------------------------------------------------
@@ -86,21 +85,19 @@ def eval_formulahigh(fhat: FormalSeries, ghat: FormalSeries, r: int = None) -> F
     """
     fhat._check_compatible(ghat)
     base = fhat.vars
-    if r is None:
-        r = base.dof
+    r = base.dof if r is None else r
     if r != base.dof or r < 1:
         raise VariableMismatchError(f"variable set has dof {base.dof}, asked for {r}")
     helpers = [f"_e{j}" for j in range(1, r + 3)]
-    vars, trunc = _extended_ring(base, helpers, fhat, ghat)
+    out = fhat.trunc.meet(ghat.trunc)
+    vars, trunc = _extended_ring(base, helpers, out)
     # f's xi goes to e_{r+1}, g's to e_{r+2}
     fbig = fhat.rename_distinguished(helpers[r]).truncate(trunc).rehome(vars)
     gbig = ghat.rename_distinguished(helpers[r + 1]).truncate(trunc).rehome(vars)
     fx = _taylor(fbig, [(base.p_name(j), 1) for j in range(1, r + 1)])
     gx = _taylor(gbig, [(base.q_name(j), FormalSeries.variable(vars, trunc, helpers[j - 1]))
                         for j in range(1, r + 1)])
-    averaged = _pair(fx, gx, FormalSeries.zero(vars, trunc))
-    integrated = _simplex_integrate(averaged, helpers)
-    return _finish(integrated, r + 2, base, fhat.trunc.meet(ghat.trunc))
+    return _dirichlet(_pair(fx, gx, FormalSeries.zero(vars, trunc)), helpers, base, out)
 
 
 def eval_borel_star_rep(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
@@ -123,34 +120,35 @@ def eval_moyal_rep(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
         raise VariableMismatchError("this representation is stated for dof 1")
     q, p = base.q_name(1), base.p_name(1)
     helpers = ["_e1", "_e2", "_e3", "_e4"]
-    vars, trunc = _extended_ring(base, helpers, fhat, ghat)
+    out = fhat.trunc.meet(ghat.trunc)
+    vars, trunc = _extended_ring(base, helpers, out)
     e3, e4 = (FormalSeries.variable(vars, trunc, n) for n in helpers[2:])
     fbig = fhat.rename_distinguished("_e1").truncate(trunc).rehome(vars)
     gbig = ghat.rename_distinguished("_e2").truncate(trunc).rehome(vars)
     # the residues keep z_1^0 z_2^0: f's orders (a, b) in (q, p) meet g's (a, b) in (p, q)
     fx = _taylor(fbig, [(q, 1), (p, 1)])
     gx = _taylor(gbig, [(p, e3 * Fraction(-1, 2)), (q, e4 * Fraction(1, 2))])
-    integrated = _simplex_integrate(_pair(fx, gx, FormalSeries.zero(vars, trunc)), helpers)
-    return _finish(integrated, 4, base, fhat.trunc.meet(ghat.trunc))
+    return _dirichlet(_pair(fx, gx, FormalSeries.zero(vars, trunc)), helpers, base, out)
 
 
 def eval_That_rep(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
     """Borel transition operator at one degree of freedom:
-    d/dxi of the integral over e_1 in (0, xi) of the z^{-1} coefficient of
-    fhat(xi - e_1, q+z, p -+ e_1/(2z)) / z.
+    d^2/dxi^2 of the integral over the simplex e_0 + e_1 <= xi of the z^{-1}
+    coefficient of fhat(e_0, q+z, p -+ e_1/(2z)) / z: one d/dxi of it is the
+    integral over e_1 in (0, xi) of the residue at e_0 = xi - e_1.
     """
     base = fhat.vars
     if base.dof != 1:
         raise VariableMismatchError("this representation is stated for dof 1")
-    vars, trunc = _extended_ring(base, ["_e1"], fhat)
-    xi = FormalSeries.variable(vars, trunc, base.distinguished)
+    helpers = ["_e0", "_e1"]
+    vars, trunc = _extended_ring(base, helpers, fhat.trunc)
     e1 = FormalSeries.variable(vars, trunc, "_e1")
-    fbig = fhat.truncate(trunc).rehome(vars).substitute(base.distinguished, xi - e1, strict=True)
+    fbig = fhat.rename_distinguished("_e0").truncate(trunc).rehome(vars)
     # the residue keeps z^0: equal orders in q and in p
     fx = _taylor(fbig, [(base.q_name(1), 1),
                         (base.p_name(1), e1 * Fraction(1 if inverse else -1, 2))])
     res = sum((h for (n, m), h in fx.items() if n == m), FormalSeries.zero(vars, trunc))
-    return _finish(_simplex_integrate(res, ["_e1"]), 1, base, fhat.trunc)
+    return _dirichlet(res, helpers, base, fhat.trunc)
 
 
 def hadamard_contour(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:

@@ -9,6 +9,7 @@ singular sets; tests assert containment, never equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     DegenerateError,
@@ -69,10 +70,9 @@ class Variety:
         return True
 
     def contains_numeric(self, point: dict, tol: float = 1e-9) -> bool:
-        """Numeric membership with complex/float bindings."""
+        """Numeric membership, scale-free: leaf P holds where |P(x)| <= tol * sum_e |c_e x^e|."""
         for group in self.groups:
-            if not any(abs(complex(leaf.poly.evaluate(point))) <= tol
-                       for leaf in group):
+            if not any(_vanishes(leaf.poly, point, tol) for leaf in group):
                 return False
         return True
 
@@ -92,6 +92,12 @@ class Variety:
 
     def __str__(self):
         return self.serialize()
+
+
+def _vanishes(P: MultiPoly, point: dict, tol: float) -> bool:
+    value = abs(complex(P.evaluate(point)))
+    size = [abs(complex(point[n])) for n in P.vars.names]
+    return value <= tol * sum(abs(c) * prod(map(pow, size, e)) for e, c in P.terms.items())
 
 
 def _union_ring(a: VariableSet, b: VariableSet) -> VariableSet:

@@ -1,8 +1,7 @@
 """Exact multivariate polynomial calculus over the rationals: gcd over the
 fraction field of the non-distinguished variables, content/primitive splits,
 square-free ("simple") decomposition in one variable, Sylvester resultants
-and discriminants, and the shift/reciprocal transforms used by the singular
-locus constructions.
+and discriminants.
 
 Polynomials share their ring code with the windowed series in
 :mod:`starborel.series` but have no window: arithmetic never drops terms.
@@ -330,34 +329,3 @@ def discriminant_locus(P: UniOverPoly) -> MultiPoly:
     if P.degree < 1:
         raise DegenerateError("discriminant needs degree >= 1")
     return sylvester_resultant(P, P.diff())
-
-
-# -- shift and reciprocal transforms --------------------------------------
-
-def shift_transform(P: MultiPoly, var: str, by: MultiPoly) -> MultiPoly:
-    """Substitute var -> var + by."""
-    P._check_compatible(by)
-    if by.degree(var) > 0:
-        raise VariableMismatchError(f"shift amount must not involve {var!r}")
-    return P.substitute(var, MultiPoly.variable(P.vars, var) + by)
-
-
-def reciprocal_transform(P: MultiPoly, var: str, xi: str, z: str) -> MultiPoly:
-    """Denominator-cleared substitution var -> xi/z: with M = deg_var(P),
-    returns z^M P(var -> xi/z) over the variable set with var replaced by xi
-    and z appended."""
-    if xi in P.vars.names or z in P.vars.names:
-        raise VariableMismatchError("target names collide with existing variables")
-    if xi == z:
-        raise VariableMismatchError("xi and z must differ")
-    i = P.vars.index(var)
-    M = P.degree(var)
-    if M < 0:
-        raise DegenerateError("zero polynomial")
-    names = tuple(xi if n == var else n for n in P.vars.names) + (z,)
-    vars = VariableSet(names, dof=0)
-    terms = {}
-    for e, c in P.terms.items():
-        key = e[:i] + (e[i],) + e[i + 1:] + (M - e[i],)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return MultiPoly(vars, terms)

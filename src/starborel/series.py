@@ -273,18 +273,12 @@ class SparseTerms:
         return self._new(self.trunc, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        """Product on the common window: terms outside it are dropped."""
         if isinstance(other, (int, Fraction)):
             c = as_rat(other)
             return self._new(self.trunc, {e: c * v for e, v in self.terms.items()})
         self._check_compatible(other)
-        return self._times(other, self._meet(other), strict=False)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def _times(self, other, trunc, strict: bool):
-        """Product on the window ``trunc``: a term outside it is dropped, or
-        raises WindowOverflowError when ``strict``."""
+        trunc = self._meet(other)
         terms = {}
         get = terms.get
         if trunc is None:
@@ -300,14 +294,13 @@ class SparseTerms:
             xy1 = sum(e1) - t1
             for e2, c2, t2, xy2 in right:
                 if t1 + t2 > dt or xy1 + xy2 > dxy:
-                    if strict:
-                        raise WindowOverflowError(
-                            f"product multi-index {tuple(map(add, e1, e2))} "
-                            f"exceeds window {trunc}")
                     continue
                 e = tuple(map(add, e1, e2))
                 terms[e] = get(e, _ZERO) + c1 * c2
         return self._new(trunc, terms)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
 
     def pow(self, n: int):
         if n < 0:
@@ -355,21 +348,16 @@ class SparseTerms:
                 trunc = Truncation(trunc.deg_t, max(trunc.deg_xy - order, 0))
         return self._new(trunc, terms)
 
-    def substitute(self, name: str, replacement, strict: bool = False):
-        """Exact substitution of ``replacement`` for one variable; with
-        ``strict``, a product term outside the window raises instead of being
-        dropped."""
+    def substitute(self, name: str, replacement):
+        """Exact substitution of ``replacement`` for one variable."""
         i = self.vars.index(name)
         replacement._check_compatible(self)
         trunc = self._meet(replacement)
         powers = {0: self._new(trunc, {(0,) * len(self.vars.names): _ONE})}
 
-        def times(a, b):
-            return a._times(b, trunc, strict=True) if strict else a * b
-
         def power(k):
             if k not in powers:
-                powers[k] = times(power(k - 1), replacement)
+                powers[k] = power(k - 1) * replacement
             return powers[k]
 
         by_exp = {}
@@ -377,7 +365,7 @@ class SparseTerms:
             by_exp.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
         out = self._new(trunc, {})
         for k, part in sorted(by_exp.items()):
-            out = out + times(self._new(trunc, part), power(k))
+            out = out + self._new(trunc, part) * power(k)
         return out
 
     def evaluate_partial(self, bindings: dict):
@@ -454,29 +442,6 @@ class FormalSeries(SparseTerms):
         top = self.trunc.deg_t if order is None else order
         return [self.terms.get((n,) + (0,) * (len(self.vars.names) - 1), _ZERO)
                 for n in range(top + 1)]
-
-    def antiderivative(self, name: str) -> "FormalSeries":
-        """Exact antiderivative vanishing at ``name`` = 0."""
-        i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            key = e[:i] + (e[i] + 1,) + e[i + 1:]
-            if not self.trunc.admits(key):
-                raise WindowOverflowError(
-                    f"antiderivative of {e} in {name} leaves the window {self.trunc}")
-            terms[key] = c / (e[i] + 1)
-        return self._new(self.trunc, terms)
-
-    def integrate(self, name: str, upper: "FormalSeries" = None) -> "FormalSeries":
-        """Integrate from 0; with ``upper`` given, substitute it for ``name``.
-
-        The upper limit must be polynomial in the retained window; overflow is
-        raised, never silently truncated.
-        """
-        prim = self.antiderivative(name)
-        if upper is None:
-            return prim
-        return prim.substitute(name, upper, strict=True)
 
     # -- shape changes ----------------------------------------------------
 

@@ -1,5 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
+
+import pytest
+import sympy as sp
 
 from starborel import (
     MOYAL,
@@ -16,6 +20,7 @@ from starborel import (
     hadamard,
     hadamard_contour,
 )
+from starborel.integral import _dirichlet
 
 B1 = VariableSet.phase_space(1, "xi")
 B2 = VariableSet.phase_space(2, "xi")
@@ -102,3 +107,34 @@ class TestHadamardContour:
                              {(k,): Fraction(rng.randrange(-4, 5))
                               for k in range(7)})
             assert hadamard_contour(a, b) == hadamard(a, b)
+
+
+class TestDirichlet:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_iterated_integration(self, n):
+        """d^n/dxi^n of the simplex integral of prod e_j^{a_j} q^b p^c,
+        exponents 0..3, against iterated sympy integrals: each antiderivative
+        vanishes at 0, so the inner one is evaluated at its upper limit."""
+        helpers = [f"_e{j}" for j in range(1, n + 1)]
+        vars = VariableSet(B1.names + tuple(helpers), dof=1)
+        rng = random.Random(57 + n)
+        terms = {(0, rng.randrange(3), rng.randrange(3)) + a:
+                 Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                 for a in product(range(4), repeat=n)}
+        got = _dirichlet(FormalSeries(vars, Truncation(0, 20), terms), helpers, B1,
+                         Truncation(20, 20))
+        gens = sp.symbols(vars.names)
+        xi, es = gens[0], gens[3:]
+        poly = sp.Poly({e: sp.Rational(c.numerator, c.denominator) for e, c in terms.items()},
+                       *gens)
+        for j in reversed(range(n)):
+            inner = poly.integrate(es[j]).as_expr().subs(es[j], xi - sum(es[:j]))
+            poly = sp.Poly(inner, *gens)
+        want = sp.Poly(poly.diff((xi, n)).as_expr(), *gens[:3])
+        assert got.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in want.terms()}
+
+    def test_two_helper_monomial(self):
+        # the simplex integral of e1*e2 is xi^4/24, whose second derivative is xi^2/2
+        vars = VariableSet(B1.names + ("_e1", "_e2"), dof=1)
+        h = FormalSeries.from_string("_e1*_e2", vars, Truncation(8, 8))
+        assert str(_dirichlet(h, ["_e1", "_e2"], B1, T1)) == "1/2*xi^2"

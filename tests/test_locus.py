@@ -5,9 +5,11 @@ import pytest
 
 from starborel import (
     DegenerateError,
+    Leaf,
     MultiPoly,
     NotSimpleError,
     UniOverPoly,
+    Variety,
     VariableSet,
     conv_locus,
     conv_locus_drop_variable,
@@ -166,6 +168,28 @@ class TestOdotLocus:
         V = VariableSet(("xi", "z2"), dof=0)
         with pytest.raises(Exception):
             odot_locus(MultiPoly.from_string("xi*z2", V), "xi", "z2")
+
+
+class TestContainsNumeric:
+    """The tolerance is relative to the size of the leaf's terms at the
+    point, so scaling a leaf changes no verdict."""
+
+    @staticmethod
+    def scaled_line(s):
+        V = VariableSet(("xi",), dof=0)
+        return Variety(V, [[Leaf("s*(xi - 1)", MultiPoly.from_string("xi - 1", V) * s)]])
+
+    def test_large_scale_accepts_nearby_point(self):
+        assert self.scaled_line(10 ** 6).contains_numeric({"xi": 1 + 1e-12}, 1e-9)
+
+    def test_small_scale_rejects_far_point(self):
+        assert not self.scaled_line(Fraction(1, 10 ** 12)).contains_numeric({"xi": 100.0}, 1e-9)
+
+    def test_zero_point_on_homogeneous_leaf(self):
+        V = VariableSet(("z1", "z2"), dof=0)
+        L = Variety(V, [[Leaf("z1*z2 - z2^2", MultiPoly.from_string("z1*z2 - z2^2", V))]])
+        assert L.contains_numeric({"z1": 0.0, "z2": 0.0})
+        assert not L.contains_numeric({"z1": 1.0, "z2": 0.5})
 
 
 class TestSerialize:

@@ -14,8 +14,6 @@ from starborel import (
     is_simple,
     mp_divexact,
     mp_gcd,
-    reciprocal_transform,
-    shift_transform,
     simple_decompose,
     sylvester_resultant,
 )
@@ -158,17 +156,6 @@ class TestDiscriminant:
         d = discriminant_locus(U("z2*z1 + 1"))
         quot = sp.cancel(to_sympy(d) / Z2)
         assert quot.is_number and quot != 0
-
-
-class TestTransforms:
-    def test_shift(self):
-        out = shift_transform(P("z1^2"), "z1", P("z2"))
-        assert out == P("z1^2 + 2*z1*z2 + z2^2")
-
-    def test_reciprocal(self):
-        out = reciprocal_transform(P("z1^2 - z2"), "z1", "xi", "z")
-        vars = VariableSet(("xi", "z2", "z"), dof=0)
-        assert out == MultiPoly.from_string("xi^2 - z2*z^2", vars)
 
 
 def from_sympy_u(expr):

@@ -13,7 +13,6 @@ from starborel import (
     UnknownVariableError,
     VariableMismatchError,
     VariableSet,
-    WindowOverflowError,
 )
 
 V = VariableSet.phase_space(1)
@@ -106,29 +105,6 @@ class TestCalculus:
         f = S("p^2*q")
         assert f.diff("p") == S("2*p*q").truncate(f.diff("p").trunc)
         assert f.diff("p", 3).is_zero
-
-    def test_integrate_then_diff_identity(self):
-        rng = random.Random(10)
-        for _ in range(20):
-            f = rand_series(rng).truncate(Truncation(4, 4))
-            g = f.truncate(Truncation(4, 4))
-            prim = g.antiderivative("t")
-            assert prim.diff("t", shrink_window=False) == g
-
-    def test_antiderivative_overflow(self):
-        with pytest.raises(WindowOverflowError):
-            S("t^6").antiderivative("t")
-
-    def test_definite_integral_polynomial_upper(self):
-        # iterated simplex integral of xi1*xi2 gives xi^4/24
-        vars = VariableSet(("xi", "xi1", "xi2"))
-        trunc = Truncation(8, 8)
-        f = FormalSeries.from_string("xi1*xi2", vars, trunc)
-        xi = FormalSeries.variable(vars, trunc, "xi")
-        xi1 = FormalSeries.variable(vars, trunc, "xi1")
-        inner = f.integrate("xi2", upper=xi - xi1)
-        outer = inner.integrate("xi1", upper=xi)
-        assert outer == FormalSeries.from_string("1/24*xi^4", vars, trunc)
 
     def test_evaluate_partial(self):
         f = S("t*p^2 + q")

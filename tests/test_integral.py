@@ -132,9 +132,3 @@ class TestDirichlet:
             poly = sp.Poly(inner, *gens)
         want = sp.Poly(poly.diff((xi, n)).as_expr(), *gens[:3])
         assert got.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in want.terms()}
-
-    def test_two_helper_monomial(self):
-        # the simplex integral of e1*e2 is xi^4/24, whose second derivative is xi^2/2
-        vars = VariableSet(B1.names + ("_e1", "_e2"), dof=1)
-        h = FormalSeries.from_string("_e1*_e2", vars, Truncation(8, 8))
-        assert str(_dirichlet(h, ["_e1", "_e2"], B1, T1)) == "1/2*xi^2"

@@ -17,6 +17,7 @@ from starborel import (
     simple_decompose,
     sylvester_resultant,
 )
+from starborel.locus import _cleared_family
 
 V2 = VariableSet(("z1", "z2"), dof=0)
 Z1, Z2 = sp.symbols("z1 z2")
@@ -156,6 +157,21 @@ class TestDiscriminant:
         d = discriminant_locus(U("z2*z1 + 1"))
         quot = sp.cancel(to_sympy(d) / Z2)
         assert quot.is_number and quot != 0
+
+
+class TestTransforms:
+    def test_shift(self):
+        out = P("z1^2").substitute("z1", P("z1 + z2"))
+        assert out == P("z1^2 + 2*z1*z2 + z2^2")
+
+    def test_reciprocal(self):
+        # z^2 Q(z1 + xi/z) for Q = z1^2 - z2; at z1 = 0 it is z^2 Q(xi/z)
+        vars = VariableSet(("z1", "xi", "z2", "z"), dof=0)
+        out = _cleared_family([P("-z2"), P("0"), P("1")], vars, "z1", "xi", "z")
+        assert out == MultiPoly.from_string(
+            "z1^2*z^2 + 2*z1*xi*z + xi^2 - z2*z^2", vars)
+        zero = MultiPoly.zero(vars)
+        assert out.substitute("z1", zero) == MultiPoly.from_string("xi^2 - z2*z^2", vars)
 
 
 def from_sympy_u(expr):

@@ -14,6 +14,7 @@ from starborel import (
     VariableMismatchError,
     VariableSet,
 )
+from starborel.integral import _dirichlet
 
 V = VariableSet.phase_space(1)
 T = Truncation(6, 6)
@@ -105,6 +106,26 @@ class TestCalculus:
         f = S("p^2*q")
         assert f.diff("p") == S("2*p*q").truncate(f.diff("p").trunc)
         assert f.diff("p", 3).is_zero
+
+    def test_integrate_then_diff_identity(self):
+        # with one helper the closed-form simplex integral is d/dt of the
+        # integral of f(e) from 0 to t, which gives f back
+        ring = VariableSet(V.names + ("_e",), dof=V.dof)
+        rng = random.Random(10)
+        for _ in range(20):
+            f = rand_series(rng).truncate(Truncation(4, 4))
+            h = f.rename_distinguished("_e").embed(ring, Truncation(8, 8))
+            assert _dirichlet(h, ["_e"], V, f.trunc) == f
+
+    def test_definite_integral_polynomial_upper(self):
+        # iterated simplex integral of xi1*xi2 gives xi^4/24
+        vars = VariableSet(("xi", "xi1", "xi2"))
+        trunc = Truncation(8, 8)
+        h = FormalSeries.from_string("xi1*xi2", vars, trunc)
+        base = VariableSet(("xi",))
+        outer = FormalSeries.from_string("1/24*xi^4", base, trunc)
+        got = _dirichlet(h, ["xi1", "xi2"], base, trunc)
+        assert got == outer.diff("xi", 2).truncate(trunc)
 
     def test_evaluate_partial(self):
         f = S("t*p^2 + q")

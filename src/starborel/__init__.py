@@ -33,7 +33,6 @@ from .locus import (
     Leaf,
     Variety,
     conv_locus,
-    conv_locus_drop_variable,
     hadamard_locus_1d,
     hadamard_locus_5var,
     odot_locus,
@@ -50,7 +49,7 @@ from .poly import (
     simple_decompose,
     sylvester_resultant,
 )
-from .series import FormalSeries, Rat, Truncation, VariableSet, as_rat
+from .series import FormalSeries, Truncation, VariableSet, as_rat
 from .star import (
     MOYAL,
     STANDARD,

@@ -92,7 +92,7 @@ def hadamard(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:
     return FormalSeries(phi.vars, trunc, terms)
 
 
-def odot_ij(F: FormalSeries, i: str, j: str, new_name: str = "xi") -> FormalSeries:
+def odot_ij(F: FormalSeries, i: str, j: str) -> FormalSeries:
     """Diagonal pairing in the variables i and j: prepends a fresh
     distinguished variable xi and returns
     sum over a of (d_i^a d_j^a F) / (a!)^2 xi^a,
@@ -105,12 +105,12 @@ def odot_ij(F: FormalSeries, i: str, j: str, new_name: str = "xi") -> FormalSeri
             raise UnknownVariableError(f"unknown variable {name!r}")
         if name == F.vars.distinguished:
             raise VariableMismatchError("cannot pair in the distinguished variable")
-    if new_name in F.vars.names:
-        raise VariableMismatchError(f"variable name {new_name!r} already in use")
+    if "xi" in F.vars.names:
+        raise VariableMismatchError("variable name 'xi' already in use")
     a_max = min(F.degree(i), F.degree(j))
     if a_max < 0:
         a_max = 0
-    new_vars = VariableSet((new_name,) + F.vars.names, F.vars.dof)
+    new_vars = VariableSet(("xi",) + F.vars.names, F.vars.dof)
     new_trunc = Truncation(a_max, F.trunc.deg_t + F.trunc.deg_xy)
     terms = {}
     h = F

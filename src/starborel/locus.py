@@ -37,15 +37,8 @@ class Leaf:
         self.label = label
         self.poly = poly
 
-    def is_nonzero_constant(self) -> bool:
-        return poly_is_nonzero_constant(self.poly)
-
     def __str__(self):
         return f'cond "{self.label}": {self.poly}'
-
-
-def poly_is_nonzero_constant(p: MultiPoly) -> bool:
-    return not p.is_zero and p.total_degree() == 0
 
 
 class Variety:
@@ -55,11 +48,9 @@ class Variety:
 
     def __init__(self, vars: VariableSet, groups):
         self.vars = vars
-        cleaned = []
-        for group in groups:
-            kept = [leaf for leaf in group if not leaf.is_nonzero_constant()]
-            cleaned.append(kept)
-        self.groups = cleaned
+        # a leaf is never zero, so degree 0 means a nonzero constant: no zeros
+        self.groups = [[leaf for leaf in group if leaf.poly.total_degree() > 0]
+                       for group in groups]
 
     def contains_exact(self, point: dict) -> bool:
         """Exact membership at a rational point binding every variable."""
@@ -154,26 +145,11 @@ def conv_locus(P: UniOverPoly, Pbar: MultiPoly) -> Variety:
     return Variety(locus_vars, [leaves])
 
 
-def conv_locus_drop_variable(V: Variety, var: str) -> Variety:
-    """Forget a variable no leaf depends on."""
-    small = _without(V.vars, var)
-    groups = []
-    for group in V.groups:
-        new = []
-        for leaf in group:
-            if leaf.poly.degree(var) > 0:
-                raise VariableMismatchError(
-                    f"leaf {leaf.label!r} depends on {var!r}")
-            new.append(Leaf(leaf.label, leaf.poly.rehome(small)))
-        groups.append(new)
-    return Variety(small, groups)
-
-
-def hadamard_locus_1d(S_f, S_g, xi: str = "xi") -> Variety:
+def hadamard_locus_1d(S_f, S_g) -> Variety:
     """Zero set {xi = 0} union {xi = s*t} over the two singularity sets,
     as a single univariate polynomial leaf."""
-    vars = VariableSet((xi,), dof=0)
-    x = MultiPoly.variable(vars, xi)
+    vars = VariableSet(("xi",), dof=0)
+    x = MultiPoly.variable(vars, "xi")
     poly = x
     for s in S_f:
         for t in S_g:
@@ -218,7 +194,7 @@ def hadamard_locus_5var(Pf: UniOverPoly, Qg: UniOverPoly) -> Variety:
     return Variety(locus_vars, [leaves])
 
 
-def odot_locus(P: MultiPoly, i: str, j: str, xi: str = "xi", z: str = "z") -> Variety:
+def odot_locus(P: MultiPoly, i: str, j: str) -> Variety:
     """Candidate singular variety of the diagonal pairing in variables i, j:
     forms Q(z) = z^N P(..., z_i + z, ..., z_j + xi/z, ...) with the minimal
     clearing power N = deg_j(P), then emits the leading and constant
@@ -227,14 +203,14 @@ def odot_locus(P: MultiPoly, i: str, j: str, xi: str = "xi", z: str = "z") -> Va
         raise VariableMismatchError("the two pairing variables must differ")
     if P.is_zero:
         raise DegenerateError("zero polynomial")
-    if xi in P.vars.names or z in P.vars.names:
+    if "xi" in P.vars.names or "z" in P.vars.names:
         raise VariableMismatchError("helper names collide with existing variables")
-    ring = VariableSet(P.vars.names + (xi, z), dof=0)
-    Q = _cleared_family(P.univariate_coeffs(j), ring, j, xi, z)
-    Q = Q.substitute(i, MultiPoly.variable(ring, i) + MultiPoly.variable(ring, z))
+    ring = VariableSet(P.vars.names + ("xi", "z"), dof=0)
+    Q = _cleared_family(P.univariate_coeffs(j), ring, j, "xi", "z")
+    Q = Q.substitute(i, MultiPoly.variable(ring, i) + MultiPoly.variable(ring, "z"))
 
-    locus_vars = VariableSet((xi,) + P.vars.names, dof=0)
-    return Variety(locus_vars, [_clearing_leaves(UniOverPoly.from_multipoly(Q, z), locus_vars)])
+    locus_vars = VariableSet(("xi",) + P.vars.names, dof=0)
+    return Variety(locus_vars, [_clearing_leaves(UniOverPoly.from_multipoly(Q, "z"), locus_vars)])
 
 
 def _cleared_family(coeffs, ring: VariableSet, x: str, xi: str, z: str) -> MultiPoly:

@@ -28,15 +28,18 @@ from .errors import (
     WindowOverflowError,
 )
 
-Rat = Fraction
-
 
 def as_rat(x) -> Fraction:
     """Coerce an int/str/Fraction into an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"not a rational number: {x!r}") from None
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
@@ -435,14 +438,6 @@ class FormalSeries(SparseTerms):
 
     __slots__ = ()
 
-    def dist_coeff_list(self, order=None) -> list:
-        """Rational coefficients along the distinguished axis (univariate series only)."""
-        if any(sum(e[1:]) for e in self.terms):
-            raise VariableMismatchError("dist_coeff_list requires a univariate series")
-        top = self.trunc.deg_t if order is None else order
-        return [self.terms.get((n,) + (0,) * (len(self.vars.names) - 1), _ZERO)
-                for n in range(top + 1)]
-
     # -- shape changes ----------------------------------------------------
 
     def truncate(self, trunc: Truncation) -> "FormalSeries":
@@ -450,17 +445,6 @@ class FormalSeries(SparseTerms):
 
     def rename_distinguished(self, name: str) -> "FormalSeries":
         return self._new(self.trunc, self.terms, self.vars.renamed_distinguished(name))
-
-    def embed(self, vars: VariableSet, trunc: Truncation) -> "FormalSeries":
-        """Widen the window to ``trunc``, then re-home into a larger variable set."""
-        return self.truncate(trunc).rehome(vars)
-
-    def drop_vars(self, names) -> "FormalSeries":
-        """Remove variables that no term mentions."""
-        if 0 in {self.vars.index(n) for n in names}:
-            raise BindingError("cannot drop the distinguished variable")
-        keep = tuple(n for n in self.vars.names if n not in names)
-        return self.rehome(VariableSet(keep, dof=self.vars.dof))
 
 
 # -- repo-wide text grammar ----------------------------------------------
@@ -479,7 +463,7 @@ def _tokenize(text: str):
         pos = m.end()
         num, name, caret, star, plus, minus = m.groups()
         if num is not None:
-            out.append(("num", Fraction(num.replace(" ", ""))))
+            out.append(("num", as_rat(num.replace(" ", ""))))
         elif name is not None:
             out.append(("name", name))
         elif caret:

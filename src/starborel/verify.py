@@ -5,14 +5,13 @@ contour form of the Hadamard product.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import AliasingError, DegenerateError, OnVarietyError
+from .errors import AliasingError, DegenerateError, OnVarietyError, VariableMismatchError
 from .locus import Variety
 from .series import FormalSeries, as_rat
 
@@ -32,6 +31,11 @@ class RadiusReport:
         return (f"point={pt} estimate={self.estimate:.15g} "
                 f"locus={self.locus_distance:.15g} "
                 f"gap={self.relative_gap:.15g} verdict={self.verdict}")
+
+
+def _unit_scale(x: Fraction) -> Fraction:
+    """The power of two that brings |x| near 1; multiplying by it is exact."""
+    return Fraction(2) ** (x.denominator.bit_length() - x.numerator.bit_length())
 
 
 def radius_estimate(coeffs, method: str = "ratio") -> float:
@@ -59,7 +63,7 @@ def radius_estimate(coeffs, method: str = "ratio") -> float:
             ratios = []
             for a, b in pairs[-5:]:
                 # a power of two that brings a near 1 keeps the float(a) / float(b) rounding
-                s = Fraction(2) ** (a.denominator.bit_length() - a.numerator.bit_length())
+                s = _unit_scale(a)
                 ratios.append(abs(float(a * s) / float(b * s)))
             est = sum(ratios) / len(ratios)
     except (OverflowError, ZeroDivisionError):
@@ -69,13 +73,13 @@ def radius_estimate(coeffs, method: str = "ratio") -> float:
     return est
 
 
-def locus_distance_xi(V: Variety, point: dict, exclude_origin: bool = True) -> float:
-    """Minimum modulus over the roots in the one unbound variable of every
-    bound leaf; +inf when every bound leaf is a nonzero constant.
+def locus_distance_xi(V: Variety, point: dict) -> float:
+    """Minimum modulus over the nonzero roots in the one unbound variable of
+    every bound leaf; +inf when every bound leaf is a nonzero constant.
 
-    The origin is excluded by default: the germs under study are regular at 0
-    by construction, so a {xi = 0} sheet never bounds the principal disc.
-    """
+    The origin is excluded: the germs under study are regular at 0 by
+    construction, so a {xi = 0} sheet never bounds the principal disc.
+    Leaves are scaled by a power of two first, so no scale moves a root."""
     free = [n for n in V.vars.names if n not in point]
     if len(free) != 1:
         raise DegenerateError(f"expected exactly one unbound variable, got {free}")
@@ -89,12 +93,11 @@ def locus_distance_xi(V: Variety, point: dict, exclude_origin: bool = True) -> f
                 f"leaf {leaf.label!r} vanishes identically at this point")
         if len(coeffs) == 1:
             continue  # nonzero constant in xi: no root
-        desc = [float(c.coeff((0,) * len(c.vars.names))) for c in reversed(coeffs)]
-        for root in np.roots(desc):
-            r = abs(root)
-            if exclude_origin and r < 1e-12:
-                continue
-            best = min(best, r)
+        exact = [c.coeff((0,) * len(c.vars.names)) for c in reversed(coeffs)]
+        s = _unit_scale(max(exact, key=abs))
+        for root in np.roots([float(c * s) for c in exact]):
+            if abs(root) >= 1e-12:
+                best = min(best, abs(root))
     return best
 
 
@@ -122,30 +125,28 @@ def check_radius_vs_locus(family, V: Variety, points, tol: float,
 
 
 def quadrature_hadamard(phi: FormalSeries, psi: FormalSeries, nodes: int) -> list:
-    """Trapezoid rule on the unit circle for the contour form of the
-    Hadamard product; returns float coefficients c_0..c_min(orders).
-
-    Exact (to rounding) for truncated inputs when the node count exceeds the
-    combined truncation order; fewer nodes alias and are rejected."""
+    """Trapezoid rule on the unit circle for the contour form of the Hadamard
+    product: c_n = b_n (1/N) sum_j phi(z_j) z_j^-n at z_j = e^{2 pi i j/N},
+    two products with the nodes' Vandermonde matrix, for n up to the smaller
+    order.  Fewer nodes than the combined degree alias and are rejected."""
     phi._check_compatible(psi)
-    a = [float(c) for c in phi.dist_coeff_list()]
-    b = [float(c) for c in psi.dist_coeff_list()]
-    deg_a = max((k for k, v in enumerate(a) if v), default=0)
-    deg_b = max((k for k, v in enumerate(b) if v), default=0)
-    if nodes <= deg_a + deg_b:
-        raise AliasingError(
-            f"{nodes} nodes cannot resolve Fourier content up to {deg_a + deg_b}")
-    top = min(len(a), len(b)) - 1
-    out = []
-    for n in range(top + 1):
-        acc = 0.0 + 0.0j
-        for j in range(nodes):
-            s = 2.0 * math.pi * j / nodes
-            z = cmath.exp(1j * s)
-            phi_val = sum(ak * z ** k for k, ak in enumerate(a))
-            acc += phi_val * cmath.exp(-1j * n * s)
-        out.append((acc / nodes * b[n]).real)
-    return out
+    xi = phi.vars.distinguished
+    if any(sum(e) - e[0] for f in (phi, psi) for e in f.terms):
+        raise VariableMismatchError("quadrature needs series in xi alone")
+    deg = max(phi.degree(xi), 0) + max(psi.degree(xi), 0)
+    if nodes <= deg:
+        raise AliasingError(f"{nodes} nodes cannot resolve Fourier content up to {deg}")
+    try:  # dense coefficients 0..deg_t; each xi-coefficient is a constant series
+        a, b = (np.array([float(sum(c.terms.values())) for c in f.univariate_coeffs(xi)]
+                         + [0.0] * (f.trunc.deg_t - f.degree(xi))) for f in (phi, psi))
+    except OverflowError:
+        raise DegenerateError("coefficient outside the float range") from None
+    V = np.vander(np.exp(2j * np.pi * np.arange(nodes) / nodes), len(a), increasing=True)
+    # V has len(a) columns, so both slices stop at the smaller order
+    out = (V[:, :len(b)].conj().T @ (V @ a) / nodes * b[:len(a)]).real
+    if not np.isfinite(out).all():
+        raise DegenerateError("result outside the float range")
+    return out.tolist()
 
 
 # -- closed-form coefficient families --------------------------------------

@@ -109,3 +109,9 @@ class TestErrors:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
+
+    def test_malformed_rational(self, capsys):
+        for sf in ("abc", "1/0"):
+            code, _, err = run(capsys, "locus", "hadamard1d", "--sf", sf)
+            assert code == 1
+            assert "error" in err.lower()

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from starborel import (
     MultiPoly,
     OnVarietyError,
     Truncation,
+    VariableMismatchError,
     VariableSet,
     Variety,
     check_radius_vs_locus,
@@ -89,6 +91,14 @@ class TestLocusDistance:
         assert locus_distance_xi(V, {"q": Fraction(0), "p": Fraction(0)}) \
             == math.inf
 
+    @pytest.mark.parametrize("scale", [Fraction(1, 10 ** 400), Fraction(10 ** 400)])
+    def test_leaf_scale_outside_float_range(self, scale):
+        # (xi - 1) * scale: the coefficients have no float, the root is 1
+        vars = VariableSet(("xi", "q", "p"))
+        poly = MultiPoly.from_string("xi - 1", vars) * scale
+        V = Variety(vars, [[Leaf("scaled", poly)]])
+        assert locus_distance_xi(V, {"q": Fraction(0), "p": Fraction(0)}) == 1.0
+
     def test_on_variety_raises(self):
         vars = VariableSet(("xi", "q", "p"))
         V = Variety(vars, [[Leaf("sheet",
@@ -150,7 +160,29 @@ class TestQuadrature:
         for k, val in enumerate(got):
             assert abs(val - float(want.coeff((k,)) or 0)) < 1e-12
 
+    def test_order_40_matches_exact_hadamard(self):
+        # rounding grows with sum |a_k| |b_n|, the size of the trapezoid sum
+        rng = random.Random(40)
+        a, b = ([Fraction(rng.randrange(-50, 51), rng.randrange(1, 20)) for _ in range(41)]
+                for _ in range(2))
+        got = quadrature_hadamard(self.series(a), self.series(b), 96)
+        assert len(got) == 41
+        scale = float(sum(map(abs, a)))
+        for n, val in enumerate(got):
+            assert abs(val - float(a[n] * b[n])) <= 1e-12 * scale * abs(float(b[n]))
+
     def test_aliasing_detected(self):
         a = self.series([1, 1, 1, 1, 1, 1, 1])
         with pytest.raises(AliasingError):
             quadrature_hadamard(a, a, 4)
+
+    def test_coefficient_beyond_float_range(self):
+        a = self.series([1, 10 ** 400])
+        with pytest.raises(DegenerateError, match="outside the float range"):
+            quadrature_hadamard(a, a, 8)
+
+    def test_rejects_other_variables(self):
+        vars = VariableSet(("xi", "q"))
+        a = FormalSeries.from_string("xi + q", vars, Truncation(2, 1))
+        with pytest.raises(VariableMismatchError):
+            quadrature_hadamard(a, a, 8)

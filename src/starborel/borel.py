@@ -18,15 +18,13 @@ from .star import StarKind, STANDARD, add_shifted, star, transition_T
 def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
     """beta: t^n -> xi^n / n!, coefficientwise."""
     g = f.rename_distinguished(new_name)
-    terms = {e: c / factorial(e[0]) for e, c in g.terms.items()}
-    return FormalSeries(g.vars, g.trunc, terms)
+    return g._new(g.trunc, {e: c / factorial(e[0]) for e, c in g.terms.items()})
 
 
 def inverse_borel(fhat: FormalSeries, new_name: str = "t") -> FormalSeries:
     """beta^{-1}: xi^n -> n! t^n, coefficientwise."""
     g = fhat.rename_distinguished(new_name)
-    terms = {e: c * factorial(e[0]) for e, c in g.terms.items()}
-    return FormalSeries(g.vars, g.trunc, terms)
+    return g._new(g.trunc, {e: c * factorial(e[0]) for e, c in g.terms.items()})
 
 
 def borel_star(fhat: FormalSeries, ghat: FormalSeries,

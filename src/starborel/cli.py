@@ -33,6 +33,11 @@ def _parse_vars(spec: str) -> VariableSet:
     return VariableSet(names, dof=0)
 
 
+def _uni(text: str, vars: VariableSet, var: str) -> UniOverPoly:
+    """Parse a polynomial and read it in its distinguished variable."""
+    return UniOverPoly.from_multipoly(MultiPoly.from_string(text, vars), var)
+
+
 trunc_t_opt = click.option("--trunc-t", default=8, show_default=True,
                            help="degree cap for the distinguished variable")
 trunc_xy_opt = click.option("--trunc-xy", default=8, show_default=True,
@@ -45,6 +50,21 @@ kind_opt = click.option("--kind", type=click.Choice(["standard", "moyal"]),
                         default="standard", show_default=True)
 
 
+def series_options(command):
+    """Apply --dof, --trunc-t, --trunc-xy and --json, listed in that order."""
+    for option in (json_opt, trunc_xy_opt, trunc_t_opt, dof_opt):
+        command = option(command)
+    return command
+
+
+def _series(plane: str, dof: int, trunc_t: int, trunc_xy: int, *texts) -> list:
+    """Parse series over the phase space with deformation variable ``plane``
+    (t or xi), in the window (trunc_t, trunc_xy)."""
+    vars = VariableSet.phase_space(dof, plane)
+    trunc = Truncation(trunc_t, trunc_xy)
+    return [FormalSeries.from_string(text, vars, trunc) for text in texts]
+
+
 @click.group()
 def cli():
     """Exact star products, Borel-plane counterparts, singular loci, and
@@ -55,60 +75,40 @@ def cli():
 @click.argument("f")
 @click.argument("g")
 @kind_opt
-@dof_opt
-@trunc_t_opt
-@trunc_xy_opt
-@json_opt
+@series_options
 def star(f, g, kind, dof, trunc_t, trunc_xy, as_json):
     """Star product of two t-plane series."""
-    vars = VariableSet.phase_space(dof, "t")
-    trunc = Truncation(trunc_t, trunc_xy)
-    out = star_fn(FormalSeries.from_string(f, vars, trunc),
-                  FormalSeries.from_string(g, vars, trunc), StarKind(kind))
-    _emit(str(out), as_json)
+    a, b = _series("t", dof, trunc_t, trunc_xy, f, g)
+    _emit(str(star_fn(a, b, StarKind(kind))), as_json)
 
 
 @cli.command()
 @click.argument("f")
-@dof_opt
-@trunc_t_opt
-@trunc_xy_opt
-@json_opt
+@series_options
 def borel(f, dof, trunc_t, trunc_xy, as_json):
     """Borel transform t^n -> xi^n/n! of a t-plane series."""
-    vars = VariableSet.phase_space(dof, "t")
-    trunc = Truncation(trunc_t, trunc_xy)
-    _emit(str(borel_fn(FormalSeries.from_string(f, vars, trunc))), as_json)
+    a, = _series("t", dof, trunc_t, trunc_xy, f)
+    _emit(str(borel_fn(a)), as_json)
 
 
 @cli.command()
 @click.argument("fhat")
-@dof_opt
-@trunc_t_opt
-@trunc_xy_opt
-@json_opt
+@series_options
 def unborel(fhat, dof, trunc_t, trunc_xy, as_json):
     """Inverse Borel transform xi^n -> n! t^n."""
-    vars = VariableSet.phase_space(dof, "xi")
-    trunc = Truncation(trunc_t, trunc_xy)
-    _emit(str(inverse_borel(FormalSeries.from_string(fhat, vars, trunc))), as_json)
+    a, = _series("xi", dof, trunc_t, trunc_xy, fhat)
+    _emit(str(inverse_borel(a)), as_json)
 
 
 @cli.command("borel-star")
 @click.argument("fhat")
 @click.argument("ghat")
 @kind_opt
-@dof_opt
-@trunc_t_opt
-@trunc_xy_opt
-@json_opt
+@series_options
 def borel_star_cmd(fhat, ghat, kind, dof, trunc_t, trunc_xy, as_json):
     """Borel-plane star product of two xi-plane series."""
-    vars = VariableSet.phase_space(dof, "xi")
-    trunc = Truncation(trunc_t, trunc_xy)
-    out = borel_star(FormalSeries.from_string(fhat, vars, trunc),
-                     FormalSeries.from_string(ghat, vars, trunc), StarKind(kind))
-    _emit(str(out), as_json)
+    a, b = _series("xi", dof, trunc_t, trunc_xy, fhat, ghat)
+    _emit(str(borel_star(a, b, StarKind(kind))), as_json)
 
 
 @cli.command()
@@ -116,20 +116,12 @@ def borel_star_cmd(fhat, ghat, kind, dof, trunc_t, trunc_xy, as_json):
 @click.option("--inverse", is_flag=True, help="apply the inverse operator")
 @click.option("--borel-plane", is_flag=True,
               help="treat the input as a xi-plane series")
-@dof_opt
-@trunc_t_opt
-@trunc_xy_opt
-@json_opt
+@series_options
 def transition(f, inverse, borel_plane, dof, trunc_t, trunc_xy, as_json):
     """Transition operator between the standard and Moyal products."""
-    trunc = Truncation(trunc_t, trunc_xy)
-    if borel_plane:
-        vars = VariableSet.phase_space(dof, "xi")
-        out = borel_T(FormalSeries.from_string(f, vars, trunc), inverse=inverse)
-    else:
-        vars = VariableSet.phase_space(dof, "t")
-        out = transition_T(FormalSeries.from_string(f, vars, trunc), inverse=inverse)
-    _emit(str(out), as_json)
+    plane, op = ("xi", borel_T) if borel_plane else ("t", transition_T)
+    a, = _series(plane, dof, trunc_t, trunc_xy, f)
+    _emit(str(op(a, inverse=inverse)), as_json)
 
 
 @cli.command()
@@ -172,8 +164,7 @@ def odot(f, var_i, var_j, vars_spec, trunc_t, trunc_xy, as_json):
 def simple_poly(p, var, vars_spec, as_json):
     """Square-free part (same zero set) in the distinguished variable."""
     vars = _parse_vars(vars_spec)
-    P = UniOverPoly.from_multipoly(MultiPoly.from_string(p, vars), var)
-    _emit(str(simple_decompose(P)), as_json)
+    _emit(str(simple_decompose(_uni(p, vars, var))), as_json)
 
 
 @cli.command()
@@ -186,10 +177,7 @@ def simple_poly(p, var, vars_spec, as_json):
 def resultant(p, q, var, vars_spec, as_json):
     """Sylvester resultant eliminating the given variable."""
     vars = _parse_vars(vars_spec)
-    out = sylvester_resultant(
-        UniOverPoly.from_multipoly(MultiPoly.from_string(p, vars), var),
-        UniOverPoly.from_multipoly(MultiPoly.from_string(q, vars), var))
-    _emit(str(out), as_json)
+    _emit(str(sylvester_resultant(_uni(p, vars, var), _uni(q, vars, var))), as_json)
 
 
 @cli.group()
@@ -208,8 +196,7 @@ def locus():
 @json_opt
 def locus_conv(p, pbar, var, vars_spec, bar_spec, as_json):
     """Convolution-type locus from a simple polynomial and endpoint branch."""
-    P = UniOverPoly.from_multipoly(
-        MultiPoly.from_string(p, _parse_vars(vars_spec)), var)
+    P = _uni(p, _parse_vars(vars_spec), var)
     V = conv_locus(P, MultiPoly.from_string(pbar, _parse_vars(bar_spec)))
     _emit(V.serialize(), as_json)
 
@@ -232,10 +219,8 @@ def locus_hadamard1d(sf, sg, as_json):
 def locus_hadamard(pf, qg, as_json):
     """Five-variable Hadamard locus; PF over (xi1,q,p) simple in p, QG over
     (xi2,q,p) simple in q."""
-    Pf = UniOverPoly.from_multipoly(
-        MultiPoly.from_string(pf, VariableSet(("xi1", "q", "p"))), "p")
-    Qg = UniOverPoly.from_multipoly(
-        MultiPoly.from_string(qg, VariableSet(("xi2", "q", "p"))), "q")
+    Pf = _uni(pf, VariableSet(("xi1", "q", "p")), "p")
+    Qg = _uni(qg, VariableSet(("xi2", "q", "p")), "q")
     _emit(hadamard_locus_5var(Pf, Qg).serialize(), as_json)
 
 

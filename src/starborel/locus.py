@@ -118,7 +118,7 @@ def conv_locus(P: UniOverPoly, Pbar: MultiPoly) -> Variety:
     if not is_simple(P):
         raise NotSimpleError(f"polynomial is not square-free in {var!r}")
     ring = _union_ring(P.vars, Pbar.vars)
-    Pmp = P.to_multipoly().rehome(ring)
+    Pmp = P.poly.rehome(ring)
     Pbar_big = Pbar.rehome(ring)
     if Pbar_big.degree(var) > 0:
         raise VariableMismatchError(f"endpoint branch must not involve {var!r}")
@@ -127,15 +127,12 @@ def conv_locus(P: UniOverPoly, Pbar: MultiPoly) -> Variety:
         raise DegenerateError("endpoint branch must vanish at the origin")
     locus_vars = _without(ring, var)
 
-    leaves = []
-    lead = P.lead.rehome(ring).rehome(locus_vars)
-    if not lead.is_zero:
-        leaves.append(Leaf("leading coefficient", lead))
-    at_zero = Pmp.evaluate_partial({var: 0}).rehome(locus_vars)
-    if not at_zero.is_zero:
-        leaves.append(Leaf("value at 0", at_zero))
+    coeffs = P.coeffs
+    leaves = [Leaf("leading coefficient", coeffs[-1].rehome(locus_vars))]
+    if not coeffs[0].is_zero:
+        leaves.append(Leaf("value at 0", coeffs[0].rehome(locus_vars)))
     if P.degree >= 1:
-        disc = discriminant_locus(P).rehome(ring).rehome(locus_vars)
+        disc = discriminant_locus(P).rehome(locus_vars)
         if not disc.is_zero:
             leaves.append(Leaf("discriminant", disc))
     endpoint = Pmp.substitute(var, Pbar_big)
@@ -181,7 +178,7 @@ def hadamard_locus_5var(Pf: UniOverPoly, Qg: UniOverPoly) -> Variety:
     pv = MultiPoly.variable(ring, "p")
 
     # Pf(xi1, q, p+z)
-    f_shift = Pf.to_multipoly().rehome(ring).substitute("p", pv + z)
+    f_shift = Pf.poly.rehome(ring).substitute("p", pv + z)
     # z^N Qg(xi2, q + xi3/z, p)
     g_clear = _cleared_family(Qg.coeffs, ring, "q", "xi3", "z")
 
@@ -190,7 +187,7 @@ def hadamard_locus_5var(Pf: UniOverPoly, Qg: UniOverPoly) -> Variety:
         raise DegenerateError("degenerate product")
     locus_vars = VariableSet(_H5_NAMES, dof=0)
     leaves = [Leaf("xi3 = 0", MultiPoly.variable(locus_vars, "xi3"))]
-    leaves += _clearing_leaves(UniOverPoly.from_multipoly(W, "z"), locus_vars)
+    leaves += _clearing_leaves(W, locus_vars)
     return Variety(locus_vars, [leaves])
 
 
@@ -210,7 +207,7 @@ def odot_locus(P: MultiPoly, i: str, j: str) -> Variety:
     Q = Q.substitute(i, MultiPoly.variable(ring, i) + MultiPoly.variable(ring, "z"))
 
     locus_vars = VariableSet(("xi",) + P.vars.names, dof=0)
-    return Variety(locus_vars, [_clearing_leaves(UniOverPoly.from_multipoly(Q, "z"), locus_vars)])
+    return Variety(locus_vars, [_clearing_leaves(Q, locus_vars)])
 
 
 def _cleared_family(coeffs, ring: VariableSet, x: str, xi: str, z: str) -> MultiPoly:
@@ -225,15 +222,17 @@ def _cleared_family(coeffs, ring: VariableSet, x: str, xi: str, z: str) -> Multi
     return out
 
 
-def _clearing_leaves(U: UniOverPoly, locus_vars: VariableSet) -> list:
-    """Leaves of a denominator-cleared family U in its clearing variable z:
+def _clearing_leaves(W: MultiPoly, locus_vars: VariableSet) -> list:
+    """Leaves of a denominator-cleared family W in its clearing variable z:
     the family itself if it does not involve z, else its leading and
     (nonzero) constant z-coefficients and (nonzero) z-discriminant."""
-    if U.degree == 0:
-        return [Leaf("product", U.lead.rehome(locus_vars))]
-    leaves = [Leaf("leading z-coefficient", U.lead.rehome(locus_vars))]
-    if not U.coeffs[0].is_zero:
-        leaves.append(Leaf("constant z-coefficient", U.coeffs[0].rehome(locus_vars)))
+    U = UniOverPoly.from_multipoly(W, "z")
+    coeffs = U.coeffs
+    if len(coeffs) == 1:
+        return [Leaf("product", coeffs[0].rehome(locus_vars))]
+    leaves = [Leaf("leading z-coefficient", coeffs[-1].rehome(locus_vars))]
+    if not coeffs[0].is_zero:
+        leaves.append(Leaf("constant z-coefficient", coeffs[0].rehome(locus_vars)))
     disc = discriminant_locus(U)
     if not disc.is_zero:
         leaves.append(Leaf("z-discriminant", disc.rehome(locus_vars)))

@@ -27,34 +27,30 @@ class MultiPoly(SparseTerms):
 
 
 class UniOverPoly:
-    """A polynomial viewed as univariate in one distinguished variable with
-    MultiPoly coefficients b_0..b_M (dense; b_M nonzero)."""
+    """A nonzero polynomial read as univariate in one distinguished variable:
+    a view of one MultiPoly whose coefficients b_0..b_M in that variable
+    (b_M nonzero) are read from it on demand."""
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "poly")
 
-    def __init__(self, var: str, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        if not coeffs:
+    def __init__(self, var: str, poly: MultiPoly):
+        if poly.is_zero:
             raise DegenerateError("zero polynomial has no UniOverPoly form")
-        for b in coeffs:
-            if b.degree(var) > 0:
-                raise VariableMismatchError(
-                    f"coefficient {b} still involves {var!r}")
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", coeffs)
+        poly.vars.index(var)  # raises UnknownVariableError
+        self.var = var
+        self.poly = poly
 
     @classmethod
     def from_multipoly(cls, P: MultiPoly, var: str) -> "UniOverPoly":
-        if P.is_zero:
-            raise DegenerateError("zero polynomial has no UniOverPoly form")
-        coeffs = P.univariate_coeffs(var)
-        return cls(var, coeffs)
+        return cls(var, P)
+
+    @property
+    def coeffs(self) -> list:
+        return self.poly.univariate_coeffs(self.var)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.poly.degree(self.var)
 
     @property
     def lead(self) -> MultiPoly:
@@ -62,31 +58,23 @@ class UniOverPoly:
 
     @property
     def vars(self) -> VariableSet:
-        return self.coeffs[0].vars
+        return self.poly.vars
 
     def to_multipoly(self) -> MultiPoly:
-        x = MultiPoly.variable(self.vars, self.var)
-        out = MultiPoly.zero(self.vars)
-        for i, b in enumerate(self.coeffs):
-            out = out + b * x.pow(i)
-        return out
+        return self.poly
 
     def diff(self) -> "UniOverPoly":
         if self.degree == 0:
             raise DegenerateError("derivative of a degree-0 polynomial is zero")
-        return UniOverPoly(self.var,
-                           [b * (i + 1) for i, b in enumerate(self.coeffs[1:])])
+        return UniOverPoly(self.var, self.poly.diff(self.var))
 
     def __eq__(self, other):
         if not isinstance(other, UniOverPoly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        raise TypeError("UniOverPoly is not hashable")
+        return self.var == other.var and self.poly == other.poly
 
     def __str__(self):
-        return str(self.to_multipoly())
+        return str(self.poly)
 
     def __repr__(self):
         return f"UniOverPoly[{self.var}]({self})"
@@ -144,18 +132,18 @@ def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
                 rem[e] = v
             elif e in rem:
                 del rem[e]
-    return MultiPoly(A.vars, quot)
+    return A._new(None, quot)
 
 
 def _pseudo_rem(A: MultiPoly, B: MultiPoly, var: str) -> MultiPoly:
     """Pseudo-remainder of A by B in one variable (fraction-free)."""
     db = B.degree(var)
-    lb = UniOverPoly.from_multipoly(B, var).lead
+    lb = B.univariate_coeffs(var)[-1]
     x = MultiPoly.variable(A.vars, var)
     R = A
     while not R.is_zero and R.degree(var) >= db:
         dr = R.degree(var)
-        lr = UniOverPoly.from_multipoly(R, var).lead
+        lr = R.univariate_coeffs(var)[-1]
         R = R * lb - B * lr * x.pow(dr - db)
     return R
 
@@ -225,16 +213,14 @@ def _pp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
 def content_primitive(P: UniOverPoly):
     """Split P = content * primitive with the primitive part having coprime
     integer-primitive coefficients and positive leading rational content."""
+    coeffs = P.coeffs
     g = MultiPoly.zero(P.vars)
-    for b in P.coeffs:
+    for b in coeffs:
         if not b.is_zero:
             g = mp_gcd(g, b)
-    lead_sign = rational_content(P.lead)
-    if lead_sign < 0:
+    if rational_content(coeffs[-1]) < 0:
         g = -g
-    primitive = UniOverPoly(P.var, [mp_divexact(b, g) if not b.is_zero else b
-                                    for b in P.coeffs])
-    return g, primitive
+    return g, UniOverPoly(P.var, mp_divexact(P.poly, g))
 
 
 def gcd_over_fraction_field(P: UniOverPoly, Q: UniOverPoly) -> UniOverPoly:
@@ -242,10 +228,8 @@ def gcd_over_fraction_field(P: UniOverPoly, Q: UniOverPoly) -> UniOverPoly:
     denominator-cleared and primitive."""
     if P.var != Q.var:
         raise VariableMismatchError(f"distinguished variables differ: {P.var} vs {Q.var}")
-    g = mp_gcd(P.to_multipoly(), Q.to_multipoly())
-    gg = UniOverPoly.from_multipoly(g, P.var)
     # keep only the var-dependent part: content in var is a unit of F[var]
-    _, primitive = content_primitive(gg)
+    _, primitive = content_primitive(UniOverPoly(P.var, mp_gcd(P.poly, Q.poly)))
     return primitive
 
 
@@ -265,12 +249,9 @@ def simple_decompose(P: UniOverPoly) -> UniOverPoly:
         return P
     content, primitive = content_primitive(P)
     g = gcd_over_fraction_field(primitive, primitive.diff())
-    if g.degree == 0:
-        squarefree = primitive
-    else:
-        sf = mp_divexact(primitive.to_multipoly(), g.to_multipoly())
-        _, squarefree = content_primitive(UniOverPoly.from_multipoly(sf, P.var))
-    out = UniOverPoly(P.var, [b * content for b in squarefree.coeffs])
+    # g divides exactly (a unit g too), and primitive / g is again primitive with
+    # positive leading content (Gauss's lemma), so it needs no second split
+    out = UniOverPoly(P.var, mp_divexact(primitive.poly, g.poly) * content)
     if not is_simple(out):
         raise NotSimpleError("square-free part failed the simplicity check")
     return out
@@ -310,17 +291,17 @@ def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
     variable.  Layout: ascending coefficients, the deg(Q) rows of P first."""
     if P.var != Q.var:
         raise VariableMismatchError(f"distinguished variables differ: {P.var} vs {Q.var}")
-    m, n = P.degree, Q.degree
+    p, q = P.coeffs, Q.coeffs
+    m, n = len(p) - 1, len(q) - 1
     if m < 1 and n < 1:
         raise DegenerateError("resultant needs positive degree in the variable")
-    vars = P.vars
     size = m + n
-    zero = MultiPoly.zero(vars)
+    zero = MultiPoly.zero(P.vars)
     rows = []
     for i in range(n):
-        rows.append([zero] * i + P.coeffs + [zero] * (size - m - 1 - i))
+        rows.append([zero] * i + p + [zero] * (size - m - 1 - i))
     for i in range(m):
-        rows.append([zero] * i + Q.coeffs + [zero] * (size - n - 1 - i))
+        rows.append([zero] * i + q + [zero] * (size - n - 1 - i))
     return _bareiss_det(rows)
 
 

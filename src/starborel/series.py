@@ -139,6 +139,9 @@ class SparseTerms:
                 if len(expo) != n:
                     raise VariableMismatchError(
                         f"multi-index {expo} has wrong arity for {vars.names}")
+                if not all(isinstance(k, int) and k >= 0 for k in expo):
+                    raise VariableMismatchError(
+                        f"multi-index {expo} has an exponent that is not a nonnegative int")
                 c = as_rat(coeff)
                 if c and (trunc is None or trunc.admits(expo)):
                     clean[expo] = c
@@ -326,9 +329,6 @@ class SparseTerms:
             if window.admits(e) and self.coeff(e) != other.coeff(e):
                 return False
         return True
-
-    def __hash__(self):
-        raise TypeError(f"{type(self).__name__} is not hashable")
 
     # -- calculus and substitution ----------------------------------------
 

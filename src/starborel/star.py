@@ -94,7 +94,7 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, per_dof) -> FormalSeries:
             df, dg, coef = _derive(df, a), _derive(dg, b), coef * w / n
 
     walk(0, f, g, 0, Fraction(1))
-    return FormalSeries(f.vars, trunc, acc)
+    return f._new(trunc, acc)
 
 
 def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from .borel import borel, borel_star, borel_star_standard_formula, borel_T, hadamard
 from .integral import (
@@ -109,44 +110,33 @@ def examples_suite() -> tuple:
             ccr &= moyal_commutator(qi, qj).is_zero
     ok &= _check(lines, "CCR at three degrees of freedom", ccr)
 
-    # Euler-type product: coefficient of t^k is k! ((1-p)(1-q))^{-k-1} expanded
+    # each series's k-th coefficient times base^(k + 1 - first) is want(k);
+    # log star log's factors are padded as in euler_product_tseries
     prod = euler_product_tseries(V, T)
-    c = S("1 - p - q + p*q")  # (1-p)(1-q)
-    from math import factorial
-    parts = prod.univariate_coeffs("t")
-    euler_ok = len(parts) == T.deg_t + 1
-    for k, part in enumerate(parts):
-        # k! c^{-k-1} expanded: compare c^{k+1} * (coeff of t^k) with k!
-        euler_ok &= c.pow(k + 1) * part == FormalSeries.constant(V, T, factorial(k))
-    ok &= _check(lines, "Euler-type product coefficients k! ((1-p)(1-q))^(-k-1)", euler_ok)
-
     bprod = borel(prod)
-    Vx = bprod.vars
-    cx = FormalSeries.from_string("1 - p - q + p*q", Vx, T)
-    parts = bprod.univariate_coeffs("xi")
-    geo_ok = len(parts) == T.deg_t + 1
-    for k, part in enumerate(parts):
-        geo_ok &= cx.pow(k + 1) * part == FormalSeries.one(Vx, T)
-    ok &= _check(lines, "Borel image is geometric in xi/((1-p)(1-q))", geo_ok)
-
-    # log star log: t^k coefficient is (k-1)!/k ((1-p)(1-q))^{-k} for k >= 1;
-    # factors padded for the same reason as the Euler-type product
     Tpad = Truncation(T.deg_t, 2 * T.deg_xy)
     lg = standard_star(log_tseries(V, Tpad, "p"),
                        log_tseries(V, Tpad, "q")).truncate(T)
-    parts = lg.univariate_coeffs("t")
-    log_ok = len(parts) == T.deg_t + 1
-    for k, part in enumerate(parts[1:], 1):
-        want = FormalSeries.constant(V, T, Fraction(factorial(k - 1), k))
-        log_ok &= c.pow(k) * part == want
-    ok &= _check(lines, "log star log coefficients (k-1)!/k ((1-p)(1-q))^(-k)", log_ok)
-
     blg = borel(lg)
-    parts = blg.univariate_coeffs("xi")
-    li_ok = len(parts) == T.deg_t + 1
-    for k, part in enumerate(parts[1:], 1):
-        li_ok &= cx.pow(k) * part == FormalSeries.constant(Vx, T, Fraction(1, k * k))
-    ok &= _check(lines, "Borel image carries dilogarithm coefficients 1/k^2", li_ok)
+    Vx = bprod.vars
+    c = S("1 - p - q + p*q")  # (1-p)(1-q)
+    cx = FormalSeries.from_string("1 - p - q + p*q", Vx, T)
+    closed_forms = (
+        ("Euler-type product coefficients k! ((1-p)(1-q))^(-k-1)",
+         prod, c, 0, factorial),
+        ("Borel image is geometric in xi/((1-p)(1-q))", bprod, cx, 0, lambda k: 1),
+        ("log star log coefficients (k-1)!/k ((1-p)(1-q))^(-k)",
+         lg, c, 1, lambda k: Fraction(factorial(k - 1), k)),
+        ("Borel image carries dilogarithm coefficients 1/k^2",
+         blg, cx, 1, lambda k: Fraction(1, k * k)),
+    )
+    for label, series, base, first, want in closed_forms:
+        parts = series.univariate_coeffs(series.vars.distinguished)
+        good = len(parts) == T.deg_t + 1
+        for k in range(first, len(parts)):
+            good &= (base.pow(k + 1 - first) * parts[k]
+                     == FormalSeries.constant(series.vars, T, want(k)))
+        ok &= _check(lines, label, good)
 
     # pinned regression: the xi^3 coefficient of (xi p) * (xi q) is 1/3!, not 1/2!
     Tx = Truncation(6, 6)
@@ -213,51 +203,31 @@ def integral_reps_suite(seed: int = DEFAULT_SEED, count: int = 50) -> tuple:
     Vx = VariableSet(("xi", "q", "p"), 1)
     T = Truncation(6, 5)
 
-    def pair():
-        return (random_series(rng, Vx, T, 4), random_series(rng, Vx, T, 4))
+    def pairs(V, T, nterms, max_exp=3):
+        return lambda: (random_series(rng, V, T, nterms, max_exp),
+                        random_series(rng, V, T, nterms, max_exp))
 
-    n_ok = sum(eval_borel_star_rep(a, b) == borel_star(a, b, STANDARD)
-               for a, b in (pair() for _ in range(count)))
-    ok &= _check(lines, f"standard-star integral representation ({n_ok}/{count})",
-                 n_ok == count)
-    n_ok = sum(eval_moyal_rep(a, b) == borel_star(a, b, MOYAL)
-               for a, b in (pair() for _ in range(count)))
-    ok &= _check(lines, f"Moyal-star integral representation ({n_ok}/{count})",
-                 n_ok == count)
-    n_ok = 0
-    for _ in range(count):
-        a = random_series(rng, Vx, T, 4)
-        n_ok += (eval_That_rep(a) == borel_T(a)
-                 and eval_That_rep(a, inverse=True) == borel_T(a, inverse=True))
-    ok &= _check(lines, f"transition-operator integral representation ({n_ok}/{count})",
-                 n_ok == count)
-    n_ok = sum(borel_star_standard_formula(a, b) == borel_star(a, b, STANDARD)
-               for a, b in (pair() for _ in range(count)))
-    ok &= _check(lines, f"closed coefficient formula ({n_ok}/{count})", n_ok == count)
-
-    V2 = VariableSet(("xi", "q1", "q2", "p1", "p2"), 2)
-    T2 = Truncation(5, 4)
-    n_ok = 0
-    for _ in range(count):
-        a = random_series(rng, V2, T2, 3, max_exp=2)
-        b = random_series(rng, V2, T2, 3, max_exp=2)
-        n_ok += eval_formulahigh(a, b) == borel_star(a, b, STANDARD)
-    ok &= _check(lines, f"two-dof integral representation ({n_ok}/{count})",
-                 n_ok == count)
-
-    Vu = VariableSet(("xi",))
-    Tu = Truncation(8, 0)
-    n_ok = 0
-    for _ in range(count):
-        a = FormalSeries(Vu, Tu, {(rng.randrange(9),):
-                                  Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
-                                  for _ in range(5)})
-        b = FormalSeries(Vu, Tu, {(rng.randrange(9),):
-                                  Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
-                                  for _ in range(5)})
-        n_ok += hadamard_contour(a, b) == hadamard(a, b)
-    ok &= _check(lines, f"Hadamard contour representation ({n_ok}/{count})",
-                 n_ok == count)
+    rows = (
+        ("standard-star integral representation", pairs(Vx, T, 4),
+         lambda a, b: eval_borel_star_rep(a, b) == borel_star(a, b, STANDARD)),
+        ("Moyal-star integral representation", pairs(Vx, T, 4),
+         lambda a, b: eval_moyal_rep(a, b) == borel_star(a, b, MOYAL)),
+        ("transition-operator integral representation",
+         lambda: (random_series(rng, Vx, T, 4),),
+         lambda a: (eval_That_rep(a) == borel_T(a)
+                    and eval_That_rep(a, inverse=True) == borel_T(a, inverse=True))),
+        ("closed coefficient formula", pairs(Vx, T, 4),
+         lambda a, b: borel_star_standard_formula(a, b) == borel_star(a, b, STANDARD)),
+        ("two-dof integral representation",
+         pairs(VariableSet(("xi", "q1", "q2", "p1", "p2"), 2), Truncation(5, 4), 3, 2),
+         lambda a, b: eval_formulahigh(a, b) == borel_star(a, b, STANDARD)),
+        ("Hadamard contour representation",
+         pairs(VariableSet(("xi",)), Truncation(8, 0), 5, 9),
+         lambda a, b: hadamard_contour(a, b) == hadamard(a, b)),
+    )
+    for label, draw, agree in rows:
+        n_ok = sum(agree(*draw()) for _ in range(count))
+        ok &= _check(lines, f"{label} ({n_ok}/{count})", n_ok == count)
 
     Vx6 = VariableSet(("xi", "q", "p"), 1)
     T6 = Truncation(6, 6)

@@ -79,6 +79,62 @@ class TestPolynomial:
         assert "xi^2 - xi" in out
 
 
+class TestPinnedOutput:
+    """Full stdout of the polynomial and locus commands."""
+
+    def test_simple_poly(self, capsys):
+        assert run(capsys, "simple-poly", "--var", "z1", "--vars", "z1,z2",
+                   "z1^2 - 2*z1*z2 + z2^2") == (0, "z1 - z2\n", "")
+
+    def test_resultant(self, capsys):
+        assert run(capsys, "resultant", "--var", "z1", "--vars", "z1,z2",
+                   "z1^2 - z2", "2*z1") == (0, "-4*z2\n", "")
+
+    def test_locus_conv(self, capsys):
+        assert run(capsys, "locus", "conv", "--vars", "z1,z2", "--bar-vars", "z,z2",
+                   "z2*z1 + 1", "z") == (0, """\
+intersect {
+  union {
+    cond "leading coefficient": z2
+    cond "discriminant": z2
+    cond "endpoint": z2*z + 1
+  }
+}
+""", "")
+
+    def test_locus_hadamard(self, capsys):
+        assert run(capsys, "locus", "hadamard", "1 - p", "1 - q") == (0, """\
+intersect {
+  union {
+    cond "xi3 = 0": xi3
+    cond "leading z-coefficient": q - 1
+    cond "constant z-coefficient": p*xi3 - xi3
+    cond "z-discriminant": -p^2*q^3 + 2*p*q^2*xi3 + 2*p*q^3 + 3*p^2*q^2 \
+- q*xi3^2 - 2*q^2*xi3 - 4*p*q*xi3 - q^3 - 6*p*q^2 - 3*p^2*q + xi3^2 + 4*q*xi3 \
++ 2*p*xi3 + 3*q^2 + 6*p*q + p^2 - 2*xi3 - 3*q - 2*p + 1
+  }
+}
+""", "")
+
+    def test_locus_odot(self, capsys):
+        assert run(capsys, "locus", "odot", "--i", "z1", "--j", "z2",
+                   "--vars", "z1,z2,z3", "z1*z2 + z3*z2^2 + 1") == (0, """\
+intersect {
+  union {
+    cond "leading z-coefficient": z2
+    cond "constant z-coefficient": xi^2*z3
+    cond "z-discriminant": -xi^2*z1^2*z2^5*z3^2 + 2*xi^3*z1*z2^4*z3^2 \
+- 2*xi^2*z1^3*z2^4*z3 + 4*xi^2*z2^5*z3^3 - xi^4*z2^3*z3^2 \
++ 8*xi^3*z1^2*z2^3*z3 - xi^2*z1^4*z2^3 + 8*xi^2*z1*z2^4*z3^2 \
+- 10*xi^4*z1*z2^2*z3 + 2*xi^3*z1^3*z2^2 - 20*xi^3*z2^3*z3^2 \
++ 2*xi^2*z1^2*z2^3*z3 + 4*xi^5*z2*z3 - xi^4*z1^2*z2 - 2*xi^3*z1*z2^2*z3 \
+- 2*xi^2*z1^3*z2^2 + 8*xi^2*z2^3*z3^2 + 12*xi^4*z2*z3 - 2*xi^3*z1^2*z2 \
++ 8*xi^2*z1*z2^2*z3 + 12*xi^3*z2*z3 - xi^2*z1^2*z2 + 4*xi^2*z2*z3
+  }
+}
+""", "")
+
+
 class TestVerify:
     def test_examples_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "examples")

@@ -8,6 +8,7 @@ from starborel import (
     DegenerateError,
     MultiPoly,
     UniOverPoly,
+    UnknownVariableError,
     VariableSet,
     discriminant_locus,
     gcd_over_fraction_field,
@@ -42,6 +43,21 @@ def rand_sp(rng, maxdeg=3):
 
 def from_sympy(expr):
     return P(str(sp.expand(expr)).replace("**", "^"))
+
+
+class TestView:
+    def test_reads_one_polynomial(self):
+        Q = P("z2*z1^3 - z1 + z2^2")
+        view = UniOverPoly.from_multipoly(Q, "z1")
+        assert view.coeffs == Q.univariate_coeffs("z1")
+        assert view.to_multipoly() == Q
+        assert view.degree == Q.degree("z1") == 3
+        with pytest.raises(DegenerateError):
+            UniOverPoly.from_multipoly(MultiPoly.zero(V2), "z1")
+        with pytest.raises(UnknownVariableError):
+            UniOverPoly.from_multipoly(Q, "w")
+        with pytest.raises(TypeError):
+            hash(view)
 
 
 class TestGcd:

@@ -87,6 +87,15 @@ class TestRing:
         with pytest.raises(VariableMismatchError):
             S("t") + FormalSeries.one(other, T)
 
+    @pytest.mark.parametrize("build", [
+        lambda: MultiPoly(VariableSet(("x", "y")), {(-1, 0): 1, (1, 0): 1}),
+        lambda: FormalSeries(V, T, {(0, -1, 0): 1}),
+        lambda: FormalSeries(V, T, {(0, 1.5, 0): 1}),
+    ], ids=["negative-poly", "negative-series", "fractional-series"])
+    def test_rejects_invalid_exponents(self, build):
+        with pytest.raises(VariableMismatchError):
+            build()
+
     def test_pow(self):
         assert S("1 + p").pow(3) == S("1 + 3*p + 3*p^2 + p^3")
         with pytest.raises(DegenerateError):

@@ -22,6 +22,7 @@ from .poly import (
     UniOverPoly,
     discriminant_locus,
     is_simple,
+    product_discriminant,
 )
 from .series import VariableSet, as_rat
 
@@ -162,10 +163,14 @@ def hadamard_locus_5var(Pf: UniOverPoly, Qg: UniOverPoly) -> Variety:
     pairing of two germs with polynomial singular supports Pf (simple in p,
     over (xi1, q, p)) and Qg (simple in q, over (xi2, q, p)).
 
-    Builds the denominator-cleared family
-    W(z) = z^N Pf(xi1, q, p+z) Qg(xi2, q + xi3/z, p),
-    then emits the leading z-coefficient, the constant z-coefficient, the
-    z-discriminant of W, and the hyperplane {xi3 = 0}.
+    Builds the denominator-cleared family W = f g, with f = Pf(xi1, q, p+z)
+    and g = z^N Qg(xi2, q + xi3/z, p), then emits the leading z-coefficient,
+    the constant z-coefficient, the z-discriminant of W, and the hyperplane
+    {xi3 = 0}.  The z-discriminant is assembled from the discriminants of f
+    and g and their resultant (``product_discriminant``); it is the same
+    polynomial as the full one.  When Pf has degree 0 in p or Qg degree 0 in
+    q, a factor has z-degree 0, the product formula does not hold, and the
+    full z-discriminant of W is computed instead.
     """
     if Pf.var != "p" or Qg.var != "q":
         raise VariableMismatchError("expected Pf simple in 'p' and Qg simple in 'q'")
@@ -182,12 +187,9 @@ def hadamard_locus_5var(Pf: UniOverPoly, Qg: UniOverPoly) -> Variety:
     # z^N Qg(xi2, q + xi3/z, p)
     g_clear = _cleared_family(Qg.coeffs, ring, "q", "xi3", "z")
 
-    W = f_shift * g_clear
-    if W.is_zero:
-        raise DegenerateError("degenerate product")
     locus_vars = VariableSet(_H5_NAMES, dof=0)
     leaves = [Leaf("xi3 = 0", MultiPoly.variable(locus_vars, "xi3"))]
-    leaves += _clearing_leaves(W, locus_vars)
+    leaves += _clearing_leaves(locus_vars, f_shift, g_clear)
     return Variety(locus_vars, [leaves])
 
 
@@ -207,7 +209,7 @@ def odot_locus(P: MultiPoly, i: str, j: str) -> Variety:
     Q = Q.substitute(i, MultiPoly.variable(ring, i) + MultiPoly.variable(ring, "z"))
 
     locus_vars = VariableSet(("xi",) + P.vars.names, dof=0)
-    return Variety(locus_vars, [_clearing_leaves(Q, locus_vars)])
+    return Variety(locus_vars, [_clearing_leaves(locus_vars, Q)])
 
 
 def _cleared_family(coeffs, ring: VariableSet, x: str, xi: str, z: str) -> MultiPoly:
@@ -222,10 +224,13 @@ def _cleared_family(coeffs, ring: VariableSet, x: str, xi: str, z: str) -> Multi
     return out
 
 
-def _clearing_leaves(W: MultiPoly, locus_vars: VariableSet) -> list:
-    """Leaves of a denominator-cleared family W in its clearing variable z:
-    the family itself if it does not involve z, else its leading and
-    (nonzero) constant z-coefficients and (nonzero) z-discriminant."""
+def _clearing_leaves(locus_vars: VariableSet, f: MultiPoly, g: MultiPoly = None) -> list:
+    """Leaves of a denominator-cleared family W = f (or f*g) in its clearing
+    variable z: W itself if it does not involve z, else its leading and
+    (nonzero) constant z-coefficients and (nonzero) z-discriminant.  When f
+    and g both involve z the discriminant is assembled from them
+    (``product_discriminant``); otherwise it is the full one of W."""
+    W = f if g is None else f * g
     U = UniOverPoly.from_multipoly(W, "z")
     coeffs = U.coeffs
     if len(coeffs) == 1:
@@ -233,7 +238,10 @@ def _clearing_leaves(W: MultiPoly, locus_vars: VariableSet) -> list:
     leaves = [Leaf("leading z-coefficient", coeffs[-1].rehome(locus_vars))]
     if not coeffs[0].is_zero:
         leaves.append(Leaf("constant z-coefficient", coeffs[0].rehome(locus_vars)))
-    disc = discriminant_locus(U)
+    if g is not None and f.degree("z") > 0 and g.degree("z") > 0:
+        disc = product_discriminant(UniOverPoly("z", f), UniOverPoly("z", g))
+    else:
+        disc = discriminant_locus(U)
     if not disc.is_zero:
         leaves.append(Leaf("z-discriminant", disc.rehome(locus_vars)))
     return leaves

@@ -10,7 +10,9 @@ Polynomials share their ring code with the windowed series in
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm as int_lcm
+from operator import add, neg, sub
 
 from .errors import DegenerateError, NotSimpleError, VariableMismatchError
 from .series import SparseTerms, VariableSet
@@ -109,29 +111,46 @@ def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 # -- exact division and gcd ----------------------------------------------
 
+def _glex_key(e):
+    """Heap entry for exponent e: the graded-lex largest pops first."""
+    return -sum(e), tuple(map(neg, e)), e
+
+
 def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """Exact division by repeated graded-lex leading-term cancellation."""
+    """Exact division by repeated graded-lex leading-term cancellation.  The
+    remainder's exponents wait in a heap in graded-lex order: one is pushed
+    when it enters the remainder, and popped ones that have left it are
+    skipped."""
     A._check_compatible(B)
     if B.is_zero:
         raise DegenerateError("division by zero polynomial")
     eb, cb = B.leading()
+    rest = [(e, c) for e, c in B.terms.items() if e != eb]
     quot = {}
     rem = dict(A.terms)
-    while rem:
-        ea = max(rem, key=lambda e: (sum(e), e))
-        ca = rem[ea]
-        eq = tuple(a - b for a, b in zip(ea, eb))
-        if any(k < 0 for k in eq):
+    heap = [_glex_key(e) for e in rem]
+    heapify(heap)
+    while heap:
+        ea = heappop(heap)[2]
+        ca = rem.pop(ea, None)
+        if ca is None:
+            continue
+        eq = tuple(map(sub, ea, eb))
+        if min(eq) < 0:
             raise DegenerateError("division is not exact")
-        cq = ca / cb
-        quot[eq] = quot.get(eq, Fraction(0)) + cq
-        for e2, c2 in B.terms.items():
-            e = tuple(a + b for a, b in zip(eq, e2))
-            v = rem.get(e, Fraction(0)) - cq * c2
-            if v:
-                rem[e] = v
-            elif e in rem:
+        # the leading exponent falls strictly, so each eq is new
+        cq = quot[eq] = ca / cb
+        for e2, c2 in rest:
+            e = tuple(map(add, eq, e2))
+            d = cq * c2
+            v = rem.get(e)
+            if v is None:
+                rem[e] = -d
+                heappush(heap, _glex_key(e))
+            elif v == d:
                 del rem[e]
+            else:
+                rem[e] = v - d
     return A._new(None, quot)
 
 
@@ -310,3 +329,18 @@ def discriminant_locus(P: UniOverPoly) -> MultiPoly:
     if P.degree < 1:
         raise DegenerateError("discriminant needs degree >= 1")
     return sylvester_resultant(P, P.diff())
+
+
+def product_discriminant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
+    """``discriminant_locus`` of the product P*Q, assembled from its factors
+    by the product formula: (-1)^(m n) disc(P) disc(Q) res(P, Q)^2 for
+    m = deg P >= 1 and n = deg Q >= 1.  Three small Sylvester determinants
+    replace one of size 2(m + n) - 1."""
+    if P.degree < 1 or Q.degree < 1:
+        raise DegenerateError("the product formula needs both degrees >= 1")
+    res = sylvester_resultant(P, Q)
+    # the sign goes on the small factor, not on the large product
+    small = discriminant_locus(P) * discriminant_locus(Q)
+    if P.degree * Q.degree % 2:
+        small = -small
+    return small * (res * res)

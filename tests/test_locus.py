@@ -10,6 +10,7 @@ from starborel import (
     NotSimpleError,
     UniOverPoly,
     Variety,
+    VariableMismatchError,
     VariableSet,
     conv_locus,
     hadamard_locus_1d,
@@ -149,8 +150,39 @@ class TestHadamard5var:
         Vf = VariableSet(("xi1", "q", "p"))
         Pf = UniOverPoly.from_multipoly(
             MultiPoly.from_string("3 - xi1 - q - p", Vf), "q")
-        with pytest.raises(Exception):
+        with pytest.raises(VariableMismatchError):
             hadamard_locus_5var(Pf, Pf)
+
+
+class TestHadamard5varFallback:
+    """A germ of degree 0 in its distinguished variable gives a factor of
+    z-degree 0, where the product formula does not hold: the full
+    z-discriminant is computed.  Output pinned from the full computation."""
+
+    @staticmethod
+    def build(pf, qg):
+        Vf = VariableSet(("xi1", "q", "p"))
+        Vg = VariableSet(("xi2", "q", "p"))
+        return hadamard_locus_5var(
+            UniOverPoly.from_multipoly(MultiPoly.from_string(pf, Vf), "p"),
+            UniOverPoly.from_multipoly(MultiPoly.from_string(qg, Vg), "q"))
+
+    def test_pf_constant_in_p(self):
+        assert self.build("3 - xi1 - q", "1 - xi2 - q").serialize() == (
+            'intersect {\n  union {\n    cond "xi3 = 0": xi3\n'
+            '    cond "leading z-coefficient": xi1*xi2 + xi1*q + q*xi2 + q^2'
+            ' - xi1 - 3*xi2 - 4*q + 3\n'
+            '    cond "constant z-coefficient": xi1*xi3 + q*xi3 - 3*xi3\n'
+            '    cond "z-discriminant": xi1*xi2 + xi1*q + q*xi2 + q^2'
+            ' - xi1 - 3*xi2 - 4*q + 3\n  }\n}')
+
+    def test_qg_constant_in_q(self):
+        assert self.build("3 - xi1 - p", "2 - xi2 - p").serialize() == (
+            'intersect {\n  union {\n    cond "xi3 = 0": xi3\n'
+            '    cond "leading z-coefficient": xi2 + p - 2\n'
+            '    cond "constant z-coefficient": xi1*xi2 + xi1*p + p*xi2 + p^2'
+            ' - 2*xi1 - 3*xi2 - 5*p + 6\n'
+            '    cond "z-discriminant": xi2 + p - 2\n  }\n}')
 
 
 class TestOdotLocus:
@@ -167,7 +199,7 @@ class TestOdotLocus:
 
     def test_name_collision(self):
         V = VariableSet(("xi", "z2"), dof=0)
-        with pytest.raises(Exception):
+        with pytest.raises(VariableMismatchError):
             odot_locus(MultiPoly.from_string("xi*z2", V), "xi", "z2")
 
 

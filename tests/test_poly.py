@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from starborel import (
     DegenerateError,
@@ -19,6 +20,7 @@ from starborel import (
     sylvester_resultant,
 )
 from starborel.locus import _cleared_family
+from starborel.poly import product_discriminant
 
 V2 = VariableSet(("z1", "z2"), dof=0)
 Z1, Z2 = sp.symbols("z1 z2")
@@ -173,6 +175,68 @@ class TestDiscriminant:
         d = discriminant_locus(U("z2*z1 + 1"))
         quot = sp.cancel(to_sympy(d) / Z2)
         assert quot.is_number and quot != 0
+
+
+class TestProductDiscriminant:
+    """The product formula equals the full discriminant of the product,
+    sign included: (-1)^(mn) for z-degrees m and n."""
+
+    @staticmethod
+    def rand_factor(rng, deg):
+        terms = {(a, b): rng.randrange(-4, 5) for a in range(deg) for b in range(2)}
+        terms[(deg, rng.randrange(2))] = rng.choice((-3, -2, -1, 1, 2, 3))
+        return MultiPoly(V2, terms)
+
+    @staticmethod
+    def assert_formula(F, G, var):
+        full = discriminant_locus(UniOverPoly(var, F * G))
+        assert product_discriminant(UniOverPoly(var, F), UniOverPoly(var, G)) == full
+        return full
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+    def test_random_degree_pairs(self, m, n):
+        rng = random.Random(70 + 10 * m + n)
+        for _ in range(4):
+            F, G = self.rand_factor(rng, m), self.rand_factor(rng, n)
+            assert (F.degree("z1"), G.degree("z1")) == (m, n)
+            self.assert_formula(F, G, "z1")
+
+    @pytest.mark.parametrize("pf, qg", [
+        ("3 - xi1 - 2*q - p", "4 - xi2 - q - 5*p"),                       # lin
+        ("2 - xi1 - q - p - 3*q*p", "5 - xi2 - q - 2*p - q*p"),           # bilin
+        ("4 - xi1 - 3*p", "2 - xi2 - 5*q^2"),                             # cubic
+    ])
+    def test_hadamard_families(self, pf, qg):
+        ring = VariableSet(("xi1", "xi2", "xi3", "q", "p", "z"), dof=0)
+        f = P(pf, VariableSet(("xi1", "q", "p"))).rehome(ring)
+        f = f.substitute("p", P("p + z", ring))
+        Qg = P(qg, VariableSet(("xi2", "q", "p")))
+        g = _cleared_family(Qg.univariate_coeffs("q"), ring, "q", "xi3", "z")
+        assert not self.assert_formula(f, g, "z").is_zero
+
+    def test_needs_positive_degrees(self):
+        with pytest.raises(DegenerateError):
+            product_discriminant(U("z2 + 1"), U("z1 - z2"))
+
+
+V3 = VariableSet(("x", "y", "z"), dof=0)
+EXPONENT = st.tuples(*[st.integers(0, 3)] * 3)
+NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+SPARSE = st.dictionaries(EXPONENT, NONZERO, max_size=5).map(lambda t: MultiPoly(V3, t))
+DIVIDE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+class TestDivexactProperties:
+    @DIVIDE
+    @given(SPARSE, SPARSE.filter(lambda B: not B.is_zero), EXPONENT, NONZERO)
+    def test_exact_inexact_and_zero(self, A, B, e, c):
+        assert mp_divexact(A * B, B) == A
+        assert mp_divexact(MultiPoly.zero(V3), B).is_zero
+        # B divides a monomial only if B is a monomial dividing it
+        eb, _ = B.leading()
+        assume(len(B.terms) > 1 or any(k < kb for k, kb in zip(e, eb)))
+        with pytest.raises(DegenerateError):
+            mp_divexact(A * B + MultiPoly(V3, {e: c}), B)
 
 
 class TestTransforms:

@@ -18,7 +18,7 @@ from .star import StarKind, STANDARD, add_shifted, star, transition_T
 def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
     """beta: t^n -> xi^n / n!, coefficientwise."""
     g = f.rename_distinguished(new_name)
-    return g._new(g.trunc, {e: c / factorial(e[0]) for e, c in g.terms.items()})
+    return g._new(g.trunc, {e: Fraction(c, factorial(e[0])) for e, c in g.terms.items()})
 
 
 def inverse_borel(fhat: FormalSeries, new_name: str = "t") -> FormalSeries:
@@ -86,7 +86,7 @@ def hadamard(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:
         for rest, d in other.items():
             key = (e[0],) + tuple(a + b for a, b in zip(e[1:], rest))
             if trunc.admits(key):
-                terms[key] = terms.get(key, Fraction(0)) + c * d
+                terms[key] = terms.get(key, 0) + c * d
     return FormalSeries(phi.vars, trunc, terms)
 
 
@@ -119,6 +119,6 @@ def odot_ij(F: FormalSeries, i: str, j: str) -> FormalSeries:
         for e, c in h.terms.items():
             key = (a,) + e
             if new_trunc.admits(key):
-                terms[key] = terms.get(key, Fraction(0)) + c * coef
+                terms[key] = terms.get(key, 0) + c * coef
         h = h.diff(i, shrink_window=False).diff(j, shrink_window=False)
     return FormalSeries(new_vars, new_trunc, terms)

@@ -67,7 +67,7 @@ def _dirichlet(h: FormalSeries, helpers, vars: VariableSet, trunc: Truncation) -
     for e, c in h.terms.items():
         a = [e[i] for i in idx]
         key = (sum(a),) + tuple(e[i] for i in keep)
-        terms[key] = terms.get(key, 0) + c * prod(map(factorial, a)) / factorial(sum(a))
+        terms[key] = terms.get(key, 0) + Fraction(c * prod(map(factorial, a)), factorial(sum(a)))
     return FormalSeries(vars, trunc, terms)
 
 

@@ -9,7 +9,7 @@ singular sets; tests assert containment, never equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import inf, isfinite, prod
 
 from .errors import (
     DegenerateError,
@@ -87,9 +87,19 @@ class Variety:
 
 
 def _vanishes(P: MultiPoly, point: dict, tol: float) -> bool:
-    value = abs(complex(P.evaluate(point)))
-    size = [abs(complex(point[n])) for n in P.vars.names]
-    return value <= tol * sum(abs(c) * prod(map(pow, size, e)) for e, c in P.terms.items())
+    """|sum_e c_e x^e| <= tol * sum_e |c_e x^e|, both sums in one complex pass."""
+    value, scale = 0j, 0.0
+    try:
+        x = [complex(point[n]) for n in P.vars.names]
+        for e, c in P.terms.items():
+            term = float(c) * prod(map(pow, x, e))
+            value += term
+            scale += abs(term)
+    except OverflowError:
+        scale = inf
+    if not isfinite(abs(value) + scale):
+        raise DegenerateError("leaf value outside the float range")
+    return abs(value) <= tol * scale
 
 
 def _union_ring(a: VariableSet, b: VariableSet) -> VariableSet:

@@ -99,6 +99,12 @@ def rational_content(P: MultiPoly) -> Fraction:
     return r if lead > 0 else -r
 
 
+def _split_content(P: MultiPoly):
+    """(r, P / r) for r the rational content of P (1 for zero P)."""
+    r = rational_content(P) or Fraction(1)
+    return r, P.scale(1 / r)
+
+
 def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
     a, b = abs(a), abs(b)
     if not a:
@@ -139,7 +145,8 @@ def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
         if min(eq) < 0:
             raise DegenerateError("division is not exact")
         # the leading exponent falls strictly, so each eq is new
-        cq = quot[eq] = ca / cb
+        cq = quot[eq] = ca // cb if ca.__class__ is cb.__class__ is int and not ca % cb \
+            else Fraction(ca, cb)
         for e2, c2 in rest:
             e = tuple(map(add, eq, e2))
             d = cq * c2
@@ -307,10 +314,13 @@ def _bareiss_det(M):
 
 def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
     """Determinant of the Sylvester matrix in the shared distinguished
-    variable.  Layout: ascending coefficients, the deg(Q) rows of P first."""
+    variable.  Layout: ascending coefficients, the deg(Q) rows of P first.
+    It runs on integer parts: res(P, Q) = s^n t^m res(P/s, Q/t), s, t the contents."""
     if P.var != Q.var:
         raise VariableMismatchError(f"distinguished variables differ: {P.var} vs {Q.var}")
-    p, q = P.coeffs, Q.coeffs
+    s, Ps = _split_content(P.poly)
+    t, Qt = _split_content(Q.poly)
+    p, q = Ps.univariate_coeffs(P.var), Qt.univariate_coeffs(Q.var)
     m, n = len(p) - 1, len(q) - 1
     if m < 1 and n < 1:
         raise DegenerateError("resultant needs positive degree in the variable")
@@ -321,7 +331,7 @@ def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
         rows.append([zero] * i + p + [zero] * (size - m - 1 - i))
     for i in range(m):
         rows.append([zero] * i + q + [zero] * (size - n - 1 - i))
-    return _bareiss_det(rows)
+    return _bareiss_det(rows).scale(s ** n * t ** m)
 
 
 def discriminant_locus(P: UniOverPoly) -> MultiPoly:
@@ -338,9 +348,8 @@ def product_discriminant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
     replace one of size 2(m + n) - 1."""
     if P.degree < 1 or Q.degree < 1:
         raise DegenerateError("the product formula needs both degrees >= 1")
-    res = sylvester_resultant(P, Q)
-    # the sign goes on the small factor, not on the large product
-    small = discriminant_locus(P) * discriminant_locus(Q)
-    if P.degree * Q.degree % 2:
-        small = -small
-    return small * (res * res)
+    # multiply the integer primitive parts; the contents and the sign go on last
+    (a, dp), (b, dq), (c, res) = (_split_content(f) for f in (
+        discriminant_locus(P), discriminant_locus(Q), sylvester_resultant(P, Q)))
+    sign = -1 if P.degree * Q.degree % 2 else 1
+    return ((dp * dq) * (res * res)).scale(sign * a * b * c * c)

@@ -9,6 +9,10 @@ coefficient-exact on the retained window.
 The sparse ring itself (:class:`SparseTerms`) is shared with the untruncated
 polynomials of :mod:`starborel.poly`: a polynomial is a series without a
 window.
+
+A stored coefficient is an ``int`` when it is integral, else a ``Fraction``
+with denominator > 1, so integer polynomials run on ``int`` arithmetic.  As
+``/`` of two ints is a float, coefficients divide exactly: ``Fraction(a, b)``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
 
 
 def as_rat(x) -> Fraction:
-    """Coerce an int/str/Fraction into an exact rational."""
+    """Coerce an int/str/Fraction into an exact rational (a Fraction)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -41,6 +45,11 @@ def as_rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"not a rational number: {x!r}") from None
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
+
+
+def canonical(c):
+    """Canonical coefficient of an exact rational: an int when integral."""
+    return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
 
 @dataclass(frozen=True)
@@ -111,13 +120,9 @@ class Truncation:
         return Truncation(min(self.deg_t, other.deg_t), min(self.deg_xy, other.deg_xy))
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class SparseTerms:
-    """Sparse exact monomial dict, multi-index -> nonzero rational, over a
-    variable set, with a truncation window ``trunc`` or without one (None).
+    """Sparse exact monomial dict, multi-index -> nonzero :func:`canonical`
+    rational, over a variable set, with a window ``trunc`` or without one (None).
 
     This is the ring code of the windowed :class:`FormalSeries` and of its
     unwindowed sibling :class:`starborel.poly.MultiPoly`.  A windowed result
@@ -142,22 +147,25 @@ class SparseTerms:
                 if not all(isinstance(k, int) and k >= 0 for k in expo):
                     raise VariableMismatchError(
                         f"multi-index {expo} has an exponent that is not a nonnegative int")
-                c = as_rat(coeff)
+                c = coeff if coeff.__class__ is int else canonical(as_rat(coeff))
                 if c and (trunc is None or trunc.admits(expo)):
                     clean[expo] = c
         self.terms = clean
 
     def _new(self, trunc, terms: dict, vars: VariableSet = None):
         """Same class over ``vars`` (default: this one's) from exact rational
-        coefficients; zero and out-of-window terms are dropped."""
+        coefficients, made canonical; zero and out-of-window terms are dropped."""
         out = object.__new__(type(self))
         out.vars = self.vars if vars is None else vars
         out.trunc = trunc
+        # canonical(c), inlined: every ring operation ends here
         if trunc is None:
-            out.terms = {e: c for e, c in terms.items() if c}
+            out.terms = {e: c if c.__class__ is int or c.denominator != 1 else c.numerator
+                         for e, c in terms.items() if c}
         else:
             dt, dxy = trunc.deg_t, trunc.deg_xy
-            out.terms = {e: c for e, c in terms.items()
+            out.terms = {e: c if c.__class__ is int or c.denominator != 1 else c.numerator
+                         for e, c in terms.items()
                          if c and e[0] <= dt and sum(e) - e[0] <= dxy}
         return out
 
@@ -186,7 +194,7 @@ class SparseTerms:
         *window, name = window_name
         expo = [0] * len(vars.names)
         expo[vars.index(name)] = power
-        return cls(vars, *window, {tuple(expo): _ONE})
+        return cls(vars, *window, {tuple(expo): 1})
 
     @classmethod
     def from_string(cls, text: str, vars: VariableSet, *window):
@@ -202,7 +210,7 @@ class SparseTerms:
             if trunc is not None and not trunc.admits(key):
                 raise WindowOverflowError(
                     f"term {dict(powers)} exceeds window {trunc}")
-            terms[key] = terms.get(key, _ZERO) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return cls(vars, *window, terms)
 
     # -- basic queries ----------------------------------------------------
@@ -211,8 +219,8 @@ class SparseTerms:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, expo) -> Fraction:
-        return self.terms.get(tuple(expo), _ZERO)
+    def coeff(self, expo):
+        return self.terms.get(tuple(expo), 0)
 
     def degree(self, name: str) -> int:
         """Largest exponent of ``name``; -1 for zero."""
@@ -255,16 +263,16 @@ class SparseTerms:
 
     def _plus(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
-            other = self._constant(as_rat(other))
+            other = self._constant(other)
         self._check_compatible(other)
         terms = dict(self.terms)
         get = terms.get
         if sign > 0:
             for e, c in other.terms.items():
-                terms[e] = get(e, _ZERO) + c
+                terms[e] = get(e, 0) + c
         else:
             for e, c in other.terms.items():
-                terms[e] = get(e, _ZERO) - c
+                terms[e] = get(e, 0) - c
         return self._new(self._meet(other), terms)
 
     def __add__(self, other):
@@ -281,8 +289,7 @@ class SparseTerms:
     def __mul__(self, other):
         """Product on the common window: terms outside it are dropped."""
         if isinstance(other, (int, Fraction)):
-            c = as_rat(other)
-            return self._new(self.trunc, {e: c * v for e, v in self.terms.items()})
+            return self.scale(other)
         self._check_compatible(other)
         trunc = self._meet(other)
         terms = {}
@@ -291,7 +298,7 @@ class SparseTerms:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = tuple(map(add, e1, e2))
-                    terms[e] = get(e, _ZERO) + c1 * c2
+                    terms[e] = get(e, 0) + c1 * c2
             return self._new(None, terms)
         dt, dxy = trunc.deg_t, trunc.deg_xy
         right = [(e2, c2, e2[0], sum(e2) - e2[0]) for e2, c2 in other.terms.items()]
@@ -302,8 +309,13 @@ class SparseTerms:
                 if t1 + t2 > dt or xy1 + xy2 > dxy:
                     continue
                 e = tuple(map(add, e1, e2))
-                terms[e] = get(e, _ZERO) + c1 * c2
+                terms[e] = get(e, 0) + c1 * c2
         return self._new(trunc, terms)
+
+    def scale(self, r):
+        """r times this, for an exact rational r."""
+        r = canonical(r)
+        return self._new(self.trunc, {e: r * v for e, v in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -311,7 +323,7 @@ class SparseTerms:
     def pow(self, n: int):
         if n < 0:
             raise DegenerateError("negative powers not supported")
-        out = self._constant(_ONE)
+        out = self._constant(1)
         for _ in range(n):
             out = out * self
         return out
@@ -356,7 +368,7 @@ class SparseTerms:
         i = self.vars.index(name)
         replacement._check_compatible(self)
         trunc = self._meet(replacement)
-        powers = {0: self._new(trunc, {(0,) * len(self.vars.names): _ONE})}
+        powers = {0: self._new(trunc, {(0,) * len(self.vars.names): 1})}
 
         def power(k):
             if k not in powers:
@@ -378,7 +390,7 @@ class SparseTerms:
             return self
         if self.trunc is not None and self.vars.distinguished in bindings:
             raise BindingError("cannot bind the distinguished variable")
-        idx = {self.vars.index(k): as_rat(v) for k, v in bindings.items()}
+        idx = {self.vars.index(k): canonical(as_rat(v)) for k, v in bindings.items()}
         terms = {}
         for e, c in self.terms.items():
             key = list(e)
@@ -386,7 +398,7 @@ class SparseTerms:
                 c *= v ** e[i]
                 key[i] = 0
             key = tuple(key)
-            terms[key] = terms.get(key, _ZERO) + c
+            terms[key] = terms.get(key, 0) + c
         return self._new(self.trunc, terms)
 
     def evaluate(self, bindings: dict):
@@ -395,7 +407,7 @@ class SparseTerms:
         if missing:
             raise UnknownVariableError(f"missing bindings for {missing}")
         vals = [bindings[n] for n in self.vars.names]
-        total = _ZERO
+        total = 0
         for e, c in self.terms.items():
             v = c
             for x, k in zip(vals, e):

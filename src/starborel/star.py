@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import StarBorelError, VariableMismatchError
-from .series import FormalSeries, Truncation
+from .series import FormalSeries, Truncation, canonical
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 # StarKind tag -> the pairings of one degree of freedom (q, p)
@@ -56,10 +55,11 @@ def add_shifted(acc: dict, term: FormalSeries, k: int, coef: Fraction, trunc: Tr
     """acc += coef * t^k * term, termwise, keeping only the multi-indices
     inside ``trunc``."""
     dt, dxy = trunc.deg_t - k, trunc.deg_xy
+    coef = canonical(coef)
     for e, c in term.terms.items():
         if e[0] <= dt and sum(e) - e[0] <= dxy:
             key = (e[0] + k,) + e[1:]
-            acc[key] = acc.get(key, _ZERO) + c * coef
+            acc[key] = acc.get(key, 0) + c * coef
 
 
 def _derive(f: FormalSeries, names) -> FormalSeries:

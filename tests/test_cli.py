@@ -134,6 +134,37 @@ intersect {
 }
 """, "")
 
+    # rational coefficients: the calculus splits their content off and puts it back
+
+    def test_simple_poly_rational(self, capsys):
+        assert run(capsys, "simple-poly", "--var", "z1", "--vars", "z1,z2",
+                   "1/4*z1^2 - 1/3*z1*z2 + 1/9*z2^2") == (0, "1/12*z1 - 1/18*z2\n", "")
+
+    def test_resultant_rational(self, capsys):
+        assert run(capsys, "resultant", "--var", "z1", "--vars", "z1,z2",
+                   "3/2*z1^2 - 2/3*z2", "5/4*z1 - 1/7*z2") == (0, "3/98*z2^2 - 25/24*z2\n", "")
+
+    def test_locus_hadamard_rational(self, capsys):
+        assert run(capsys, "locus", "hadamard", "3/2 - xi1 - 2/3*p - q*p", "1 - q") == (0, """\
+intersect {
+  union {
+    cond "xi3 = 0": xi3
+    cond "leading z-coefficient": q^2 - 1/3*q - 2/3
+    cond "constant z-coefficient": p*q*xi3 + xi1*xi3 + 2/3*p*xi3 - 3/2*xi3
+    cond "z-discriminant": -p^2*q^6 - 2*xi1*p*q^5 + 2*p*q^5*xi3 + p^2*q^5 \
+- xi1^2*q^4 + 2*xi1*q^4*xi3 + 10/3*xi1*p*q^4 - q^4*xi3^2 + 3*p*q^5 \
++ 5/3*p^2*q^4 + 7/3*xi1^2*q^3 - 4/3*xi1*q^3*xi3 + 3*xi1*q^4 \
++ 10/9*xi1*p*q^3 - q^3*xi3^2 - 3*q^4*xi3 - 10/3*p*q^3*xi3 - 5*p*q^4 \
+- 35/27*p^2*q^3 - xi1^2*q^2 - 22/9*xi1*q^2*xi3 - 7*xi1*q^3 - 10/3*xi1*p*q^2 \
++ 2/3*q^2*xi3^2 + 2*q^3*xi3 - 20/27*p*q^2*xi3 - 9/4*q^4 - 5/3*p*q^3 \
+- 10/9*p^2*q^2 - xi1^2*q + 8/9*xi1*q*xi3 + 3*xi1*q^2 + 28/27*q*xi3^2 \
++ 11/3*q^2*xi3 + 40/27*p*q*xi3 + 21/4*q^3 + 5*p*q^2 + 4/9*p^2*q + 2/3*xi1^2 \
++ 8/9*xi1*xi3 + 3*xi1*q + 8/9*xi1*p + 8/27*xi3^2 - 4/3*q*xi3 + 16/27*p*xi3 \
+- 9/4*q^2 + 8/27*p^2 - 2*xi1 - 4/3*xi3 - 9/4*q - 4/3*p + 3/2
+  }
+}
+""", "")
+
 
 class TestVerify:
     def test_examples_suite(self, capsys):

@@ -224,6 +224,18 @@ class TestContainsNumeric:
         assert L.contains_numeric({"z1": 0.0, "z2": 0.0})
         assert not L.contains_numeric({"z1": 1.0, "z2": 0.5})
 
+    @pytest.mark.parametrize("coeff, x", [
+        (10 ** 400, 1.0),                # the coefficient has no float
+        (1, 1e200),                      # x^2 overflows
+        (10 ** 300, 1e10),               # the term rounds to inf
+        (1, Fraction(10 ** 400, 3)),     # the point has no float
+    ], ids=["coefficient", "power", "term", "point"])
+    def test_outside_float_range_raises(self, coeff, x):
+        V = VariableSet(("xi",), dof=0)
+        L = Variety(V, [[Leaf("c*xi^2 - 1", MultiPoly(V, {(2,): coeff, (0,): -1}))]])
+        with pytest.raises(DegenerateError):
+            L.contains_numeric({"xi": x})
+
 
 class TestSerialize:
     def test_roundtrippable_shape(self):

@@ -160,6 +160,19 @@ class TestResultant:
         with pytest.raises(DegenerateError):
             sylvester_resultant(U("z2 + 1"), U("z2 - 1"))
 
+    @pytest.mark.parametrize("a, b", [
+        ("3/2*z1^2 - 2/3*z2", "5/4*z1 - 1/7*z2"),
+        ("1/2*z1^3 - 2/3*z2*z1 + 1/5", "3/4*z1^2 - 1/6*z2"),
+        ("z1^2 - 1/3*z2*z1 + 2", "2/9*z2*z1^3 + 7/2*z1 - z2"),
+        ("5/6 - z2", "3/2*z1^2 + z2*z1"),
+    ])
+    def test_rational_coefficients_match_sympy(self, a, b):
+        # the determinant runs on integer primitive parts and rescales once
+        A, B = sp.sympify(a.replace("^", "**")), sp.sympify(b.replace("^", "**"))
+        mine = to_sympy(sylvester_resultant(U(a), U(b)))
+        sign = (-1) ** (sp.degree(A, Z1) * sp.degree(B, Z1))
+        assert sp.expand(mine - sign * sp.resultant(A, B, Z1)) == 0
+
 
 class TestDiscriminant:
     def test_quadratic(self):
@@ -214,6 +227,14 @@ class TestProductDiscriminant:
         g = _cleared_family(Qg.univariate_coeffs("q"), ring, "q", "xi3", "z")
         assert not self.assert_formula(f, g, "z").is_zero
 
+    @pytest.mark.parametrize("pf, qg", [
+        ("3/2 - xi1 - 2/3*p - q*p", "1 - q"),
+        ("3/2 - xi1 - 2/3*p - q*p", "5/4 - xi2 - 1/3*q - 2*p"),
+        ("1/2 - xi1 - p^2", "2/3 - xi2 - 3/5*q"),
+    ])
+    def test_rational_hadamard_families(self, pf, qg):
+        self.test_hadamard_families(pf, qg)
+
     def test_needs_positive_degrees(self):
         with pytest.raises(DegenerateError):
             product_discriminant(U("z2 + 1"), U("z1 - z2"))
@@ -237,6 +258,24 @@ class TestDivexactProperties:
         assume(len(B.terms) > 1 or any(k < kb for k, kb in zip(e, eb)))
         with pytest.raises(DegenerateError):
             mp_divexact(A * B + MultiPoly(V3, {e: c}), B)
+
+
+class TestIntegerPaths:
+    """Integer coefficients divide with // only when the quotient is whole."""
+
+    def test_divexact_quotient_is_exact(self):
+        q = mp_divexact(P("3*z1"), P("2*z1"))
+        assert q.terms == {(0, 0): Fraction(3, 2)}
+        assert type(q.terms[(0, 0)]) is Fraction
+
+    def test_divexact_integer_quotient_is_int(self):
+        q = mp_divexact(P("6*z1^2 + 4*z1*z2"), P("2*z1"))
+        assert q == P("3*z1 + 2*z2")
+        assert all(type(c) is int for c in q.terms.values())
+
+    def test_divexact_inexact_integer_case_raises(self):
+        with pytest.raises(DegenerateError, match="division is not exact"):
+            mp_divexact(P("3*z1^2 + 1"), P("2*z1"))
 
 
 class TestTransforms:

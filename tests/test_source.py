@@ -51,3 +51,39 @@ def test_every_export_has_a_caller_outside_tests():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
     assert not exported - used, f"exported but unused: {sorted(exported - used)}"
+
+
+def _is_fraction_zero(node, names=()):
+    """``Fraction(0)``, ``Fraction()`` or a module name bound to one."""
+    if isinstance(node, ast.Name):
+        return node.id in names
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction" and not node.keywords
+            and (not node.args or (len(node.args) == 1 and isinstance(node.args[0], ast.Constant)
+                                   and node.args[0].value == 0)))
+
+
+def test_no_fraction_zero_accumulators():
+    """Coefficients are ints when integral, and a sum started from
+    ``Fraction(0)`` turns int sums back into Fractions: no module binds a
+    name to ``Fraction(0)`` or starts a ``.get`` default or a ``sum`` from it.
+    Returned or listed zeros are values, not accumulators, and stay allowed."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                 and _is_fraction_zero(node.value) for t in node.targets
+                 if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            # the called name: d.get(...), get(...) for get = d.get, sum(...)
+            called = getattr(getattr(node, "func", None), "attr", None) \
+                or getattr(getattr(node, "func", None), "id", None)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                starts = [node.value]
+            elif called in ("get", "sum"):
+                starts = node.args[1:2] + [k.value for k in node.keywords if k.arg == "start"]
+            else:
+                continue
+            if any(v is not None and _is_fraction_zero(v, names) for v in starts):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"Fraction(0) accumulators at {found}"

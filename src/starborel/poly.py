@@ -3,6 +3,11 @@ fraction field of the non-distinguished variables, content/primitive splits,
 square-free ("simple") decomposition in one variable, Sylvester resultants
 and discriminants.
 
+The gcd is one chain: ``rational_content`` (the positive gcd of all
+coefficients), ``_content_in`` (the gcd of the coefficients in one variable)
+and ``_prs`` (the primitive remainder sequence in that variable), which
+``mp_gcd``, ``content_primitive`` and ``gcd_over_fraction_field`` share.
+
 Polynomials share their ring code with the windowed series in
 :mod:`starborel.series` but have no window: arithmetic never drops terms.
 """
@@ -82,40 +87,25 @@ class UniOverPoly:
         return f"UniOverPoly[{self.var}]({self})"
 
 
-# -- rational/integer content --------------------------------------------
+# -- the gcd chain: rational content, content in a variable, remainder sequence
 
-def rational_content(P: MultiPoly) -> Fraction:
-    """Positive rational r with P/r having coprime integer coefficients,
-    carrying the sign of the graded-lex leading coefficient."""
-    if P.is_zero:
-        return Fraction(0)
+def rational_content(*polys) -> Fraction:
+    """Positive rational r with every coefficient of every P over r an
+    integer, these integers coprime; 1 when all the P are zero."""
     num = 0
     den = 1
-    for c in P.terms.values():
-        num = int_gcd(num, c.numerator)
-        den = int_lcm(den, c.denominator)
-    r = Fraction(num, den)
-    _, lead = P.leading()
-    return r if lead > 0 else -r
+    for P in polys:
+        for c in P.terms.values():
+            num = int_gcd(num, c.numerator)
+            den = int_lcm(den, c.denominator)
+    return Fraction(num, den) if num else Fraction(1)
 
 
 def _split_content(P: MultiPoly):
-    """(r, P / r) for r the rational content of P (1 for zero P)."""
-    r = rational_content(P) or Fraction(1)
+    """(r, P / r) for r the rational content of P."""
+    r = rational_content(P)
     return r, P.scale(1 / r)
 
-
-def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    a, b = abs(a), abs(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    return Fraction(int_gcd(a.numerator, b.numerator),
-                    int_lcm(a.denominator, b.denominator))
-
-
-# -- exact division and gcd ----------------------------------------------
 
 def _glex_key(e):
     """Heap entry for exponent e: the graded-lex largest pops first."""
@@ -161,77 +151,57 @@ def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     return A._new(None, quot)
 
 
+def mp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
+    """Gcd in Z[vars] scaled back to Q: includes the shared rational content,
+    normalized with positive leading coefficient.  Splits off the contents in
+    the first variable either operand mentions, recursing on them, and runs
+    the remainder sequence on the primitive parts."""
+    A._check_compatible(B)
+    if A.is_zero or B.is_zero:
+        g = B if A.is_zero else A
+    elif A.total_degree() == 0 or B.total_degree() == 0:
+        return MultiPoly.constant(A.vars, rational_content(A, B))
+    else:
+        var = next(n for n in A.vars.names if A.degree(n) > 0 or B.degree(n) > 0)
+        ca, cb = _content_in(A, var), _content_in(B, var)
+        g = mp_gcd(ca, cb) * _prs(mp_divexact(A, ca), mp_divexact(B, cb), var)
+    return g if g.is_zero or g.leading()[1] > 0 else -g
+
+
+def _content_in(P: MultiPoly, var: str) -> MultiPoly:
+    """Gcd of the coefficients of P viewed as univariate in var, rational
+    content included."""
+    g = MultiPoly.zero(P.vars)
+    for b in P.univariate_coeffs(var):
+        if not b.is_zero:
+            g = mp_gcd(g, b)
+    return g
+
+
 def _pseudo_rem(A: MultiPoly, B: MultiPoly, var: str) -> MultiPoly:
     """Pseudo-remainder of A by B in one variable (fraction-free)."""
     db = B.degree(var)
     lb = B.univariate_coeffs(var)[-1]
-    x = MultiPoly.variable(A.vars, var)
     R = A
-    while not R.is_zero and R.degree(var) >= db:
-        dr = R.degree(var)
-        lr = R.univariate_coeffs(var)[-1]
-        R = R * lb - B * lr * x.pow(dr - db)
-    return R
+    while True:
+        coeffs = R.univariate_coeffs(var)  # [] once R is zero
+        k = len(coeffs) - 1 - db
+        if k < 0:
+            return R
+        R = R * lb - B * coeffs[-1] * MultiPoly.variable(A.vars, var, power=k)
 
 
-def mp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """Gcd in Z[vars] scaled back to Q: includes the shared rational content,
-    normalized with positive leading coefficient.  Primitive polynomial
-    remainder sequences, recursing on the variables."""
-    A._check_compatible(B)
-    if A.is_zero and B.is_zero:
-        return MultiPoly.zero(A.vars)
-    if A.is_zero:
-        c = rational_content(B)
-        return B * (abs(c) / c)
-    if B.is_zero:
-        return mp_gcd(B, A)
-    ca, cb = rational_content(A), rational_content(B)
-    shared = rational_gcd(ca, cb)
-    g = _pp_gcd(A * (1 / ca), B * (1 / cb))
-    return g * shared
-
-
-def _main_var(A: MultiPoly, B: MultiPoly):
-    for n in A.vars.names:
-        if A.degree(n) > 0 or B.degree(n) > 0:
-            return n
-    return None
-
-
-def _content_in(P: MultiPoly, var: str) -> MultiPoly:
-    """Gcd of the coefficients of P viewed as univariate in var."""
-    coeffs = [b for b in P.univariate_coeffs(var) if not b.is_zero]
-    g = MultiPoly.zero(P.vars)
-    for b in coeffs:
-        g = mp_gcd(g, b)
-        if g.total_degree() == 0 and abs(rational_content(g)) == 1:
-            break
-    return g
-
-
-def _pp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """Gcd of two integer-primitive polynomials, primitive PRS in the first
-    variable either mentions."""
-    var = _main_var(A, B)
-    if var is None:
-        return MultiPoly.one(A.vars)
-    contA = _content_in(A, var)
-    contB = _content_in(B, var)
-    cont = mp_gcd(contA, contB)
-    A = mp_divexact(A, contA)
-    B = mp_divexact(B, contB)
+def _prs(A: MultiPoly, B: MultiPoly, var: str) -> MultiPoly:
+    """Gcd, up to sign, of two polynomials primitive in var (their coefficients
+    in var share no factor, not even a rational one), by the primitive
+    remainder sequence in var: each remainder is divided by its content in
+    var, which leaves it primitive."""
     if A.degree(var) < B.degree(var):
         A, B = B, A
     while not B.is_zero:
         R = _pseudo_rem(A, B, var)
-        A = B
-        if R.is_zero:
-            B = R
-        else:
-            R = R * (1 / rational_content(R))
-            B = mp_divexact(R, _content_in(R, var))
-    return cont * (A * (1 / rational_content(A)))
+        A, B = B, R if R.is_zero else mp_divexact(R, _content_in(R, var))
+    return A
 
 
 # -- the distinguished-variable calculus ----------------------------------
@@ -239,12 +209,8 @@ def _pp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
 def content_primitive(P: UniOverPoly):
     """Split P = content * primitive with the primitive part having coprime
     integer-primitive coefficients and positive leading rational content."""
-    coeffs = P.coeffs
-    g = MultiPoly.zero(P.vars)
-    for b in coeffs:
-        if not b.is_zero:
-            g = mp_gcd(g, b)
-    if rational_content(coeffs[-1]) < 0:
+    g = _content_in(P.poly, P.var)
+    if P.lead.leading()[1] < 0:
         g = -g
     return g, UniOverPoly(P.var, mp_divexact(P.poly, g))
 
@@ -254,9 +220,9 @@ def gcd_over_fraction_field(P: UniOverPoly, Q: UniOverPoly) -> UniOverPoly:
     denominator-cleared and primitive."""
     if P.var != Q.var:
         raise VariableMismatchError(f"distinguished variables differ: {P.var} vs {Q.var}")
-    # keep only the var-dependent part: content in var is a unit of F[var]
-    _, primitive = content_primitive(UniOverPoly(P.var, mp_gcd(P.poly, Q.poly)))
-    return primitive
+    # the contents in var are units of F[var]: only the primitive parts count
+    g = _prs(content_primitive(P)[1].poly, content_primitive(Q)[1].poly, P.var)
+    return content_primitive(UniOverPoly(P.var, g))[1]
 
 
 def is_simple(P: UniOverPoly) -> bool:

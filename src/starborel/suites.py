@@ -147,30 +147,23 @@ def examples_suite() -> tuple:
                  got == FormalSeries.from_string("1/2*xi^2*p*q + 1/6*xi^3", Vx, Tx)
                  and got.coeff((3, 0, 0)) == Fraction(1, 6))
 
-    # convolution loci of the worked rational examples
+    # convolution loci of the worked rational examples at 200 random points each
     Vp = VariableSet(("z1", "z2"))
     Vbar = VariableSet(("z", "z2"))
     zbar = MultiPoly.from_string("z", Vbar)
-    P1 = UniOverPoly.from_multipoly(MultiPoly.from_string("z2*z1 + 1", Vp), "z1")
-    L1 = conv_locus(P1, zbar)
     rng = random.Random(DEFAULT_SEED)
-    m_ok = True
-    for _ in range(200):
-        z = Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))
-        z2 = Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))
-        m_ok &= L1.contains_exact({"z": z, "z2": z2}) == (z2 * (z2 * z + 1) == 0)
-    ok &= _check(lines, "convolution locus {z2 (z2 z + 1) = 0}", m_ok)
-
-    P2 = UniOverPoly.from_multipoly(
-        MultiPoly.from_string("z1^2 + 2*z1 + z1*z2 + z2 + 1", Vp), "z1")
-    L2 = conv_locus(P2, zbar)
-    m_ok = True
-    for _ in range(200):
-        z = Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))
-        z2 = Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))
-        want = (z2 * (z + 1) * (z + z2 + 1) * (z2 + 1)) == 0
-        m_ok &= L2.contains_exact({"z": z, "z2": z2}) == want
-    ok &= _check(lines, "convolution locus {z2 (z+1)(z+z2+1)(z2+1) = 0}", m_ok)
+    rows = (
+        ("convolution locus {z2 (z2 z + 1) = 0}", "z2*z1 + 1",
+         lambda z, z2: z2 * (z2 * z + 1) == 0),
+        ("convolution locus {z2 (z+1)(z+z2+1)(z2+1) = 0}", "z1^2 + 2*z1 + z1*z2 + z2 + 1",
+         lambda z, z2: z2 * (z + 1) * (z + z2 + 1) * (z2 + 1) == 0),
+    )
+    for label, text, on_locus in rows:
+        L = conv_locus(UniOverPoly.from_multipoly(MultiPoly.from_string(text, Vp), "z1"), zbar)
+        points = [(Fraction(rng.randrange(-8, 9), rng.randrange(1, 5)),
+                   Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))) for _ in range(200)]
+        ok &= _check(lines, label, all(L.contains_exact({"z": z, "z2": z2}) == on_locus(z, z2)
+                                       for z, z2 in points))
 
     P3 = UniOverPoly.from_multipoly(
         MultiPoly.from_string("-z1^2 + 2*z1*z2 - z2^2 - z1 + z2", Vp), "z1")

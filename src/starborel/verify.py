@@ -52,7 +52,8 @@ def radius_estimate(coeffs, method: str = "ratio") -> float:
         raise DegenerateError("need at least 8 nonzero coefficients")
     if method not in ("ratio", "root"):
         raise DegenerateError(f"unknown method {method!r}")
-    pairs = [(vals[k], vals[k + 1]) for k in nonzero if k + 1 in set(nonzero)]
+    nonzero_set = set(nonzero)
+    pairs = [(vals[k], vals[k + 1]) for k in nonzero if k + 1 in nonzero_set]
     if method == "ratio" and len(pairs) < 5:
         raise DegenerateError("too few consecutive nonzero pairs for the ratio method")
     try:
@@ -151,19 +152,23 @@ def quadrature_hadamard(phi: FormalSeries, psi: FormalSeries, nodes: int) -> lis
 
 # -- closed-form coefficient families --------------------------------------
 
-def euler_borel_coeffs(q, p, order: int) -> list:
-    """xi-coefficients of the Borel image of the Euler-type product series at
-    fixed (q, p): the geometric family c^{-k-1} with c = (1-p)(1-q)."""
+def _family_base(q, p) -> Fraction:
+    """The base c = (1-p)(1-q) of both families; it must be nonzero."""
     c = (1 - as_rat(p)) * (1 - as_rat(q))
     if c == 0:
         raise DegenerateError("degenerate point: (1-p)(1-q) = 0")
+    return c
+
+
+def euler_borel_coeffs(q, p, order: int) -> list:
+    """xi-coefficients of the Borel image of the Euler-type product series at
+    fixed (q, p): the geometric family c^{-k-1} with c = (1-p)(1-q)."""
+    c = _family_base(q, p)
     return [c ** (-k - 1) for k in range(order + 1)]
 
 
 def logstar_borel_coeffs(q, p, order: int) -> list:
     """xi-coefficients (constant term set to 0) of the Borel image of the
     log-log product at fixed (q, p): the dilogarithm family c^{-k}/k^2."""
-    c = (1 - as_rat(p)) * (1 - as_rat(q))
-    if c == 0:
-        raise DegenerateError("degenerate point: (1-p)(1-q) = 0")
+    c = _family_base(q, p)
     return [Fraction(0)] + [c ** (-k) / Fraction(k * k) for k in range(1, order + 1)]

@@ -11,6 +11,7 @@ from starborel import (
     UniOverPoly,
     UnknownVariableError,
     VariableSet,
+    content_primitive,
     discriminant_locus,
     gcd_over_fraction_field,
     is_simple,
@@ -86,6 +87,17 @@ class TestGcd:
     def test_gcd_of_coprime(self):
         g = mp_gcd(P("z1 + 1"), P("z2 + 1"))
         assert to_sympy(g).is_number
+
+    def test_constant_operand_gives_shared_content(self):
+        assert mp_gcd(P("3/2"), P("3*z1^2 + 6")) == P("3/2")
+        assert mp_gcd(P("3*z1^2 + 6"), P("-3/2")) == P("3/2")
+        assert mp_gcd(P("2"), P("-1/3")) == P("1/3")
+
+    def test_zero_operand_gives_other_with_positive_lead(self):
+        B = P("3*z2 - 2*z1^2")  # graded-lex leading term -2*z1^2
+        zero = MultiPoly.zero(V2)
+        assert mp_gcd(zero, B) == mp_gcd(B, zero) == mp_gcd(zero, -B) == P("2*z1^2 - 3*z2")
+        assert mp_gcd(zero, zero).is_zero
 
 
 class TestSimple:
@@ -258,6 +270,21 @@ class TestDivexactProperties:
         assume(len(B.terms) > 1 or any(k < kb for k, kb in zip(e, eb)))
         with pytest.raises(DegenerateError):
             mp_divexact(A * B + MultiPoly(V3, {e: c}), B)
+
+
+FACTOR = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), NONZERO, min_size=1,
+                         max_size=3).map(lambda t: MultiPoly(V3, t))
+
+
+class TestGcdNormalForm:
+    @DIVIDE
+    @given(FACTOR, FACTOR, FACTOR, st.sampled_from(V3.names))
+    def test_fraction_field_gcd_is_primitive_part_of_full_gcd(self, a, b, c, var):
+        # content_primitive of the full gcd was the definition; it is the oracle
+        Pu, Qu = UniOverPoly(var, a * c), UniOverPoly(var, b * c)
+        want = content_primitive(UniOverPoly(var, mp_gcd(Pu.poly, Qu.poly)))[1]
+        got = gcd_over_fraction_field(Pu, Qu)
+        assert got.var == var and got.poly.terms == want.poly.terms
 
 
 class TestIntegerPaths:

@@ -87,3 +87,28 @@ def test_no_fraction_zero_accumulators():
             if any(v is not None and _is_fraction_zero(v, names) for v in starts):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"Fraction(0) accumulators at {found}"
+
+
+def test_every_private_module_name_is_read():
+    """A module-level private function, class or name (``_x``, not a dunder)
+    that nothing in the package reads, outside its own definition, is left
+    over from a deletion."""
+    defined, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = {top.name}
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = {node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)}
+            else:
+                names = set()
+            own = {n for n in names if n.startswith("_") and not n.startswith("__")}
+            defined.update((n, f"{path.name}:{top.lineno}") for n in own)
+            read |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                     or isinstance(node, ast.Attribute)} - own
+    unread = sorted(where for name, where in defined.items() if name not in read)
+    assert not unread, f"private names nothing reads at {unread}"

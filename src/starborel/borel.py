@@ -12,7 +12,7 @@ from math import factorial
 
 from .errors import UnknownVariableError, VariableMismatchError
 from .series import FormalSeries, Truncation, VariableSet
-from .star import StarKind, STANDARD, add_shifted, star, transition_T
+from .star import StarKind, STANDARD, _exp_pairing, add_shifted, star, transition_T
 
 
 def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
@@ -21,9 +21,9 @@ def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
     return g._new(g.trunc, {e: Fraction(c, factorial(e[0])) for e, c in g.terms.items()})
 
 
-def inverse_borel(fhat: FormalSeries, new_name: str = "t") -> FormalSeries:
+def inverse_borel(fhat: FormalSeries) -> FormalSeries:
     """beta^{-1}: xi^n -> n! t^n, coefficientwise."""
-    g = fhat.rename_distinguished(new_name)
+    g = fhat.rename_distinguished("t")
     return g._new(g.trunc, {e: c * factorial(e[0]) for e, c in g.terms.items()})
 
 
@@ -85,9 +85,8 @@ def hadamard(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:
             continue
         for rest, d in other.items():
             key = (e[0],) + tuple(a + b for a, b in zip(e[1:], rest))
-            if trunc.admits(key):
-                terms[key] = terms.get(key, 0) + c * d
-    return FormalSeries(phi.vars, trunc, terms)
+            terms[key] = terms.get(key, 0) + c * d
+    return phi._new(trunc, terms)
 
 
 def odot_ij(F: FormalSeries, i: str, j: str) -> FormalSeries:
@@ -95,6 +94,8 @@ def odot_ij(F: FormalSeries, i: str, j: str) -> FormalSeries:
     distinguished variable xi and returns
     sum over a of (d_i^a d_j^a F) / (a!)^2 xi^a,
     the termwise angular average of the paper-style circle substitution.
+    This is the Borel image (t^a -> xi^a / a!) of exp(t d_i d_j) F, with F
+    lifted to t-degree 0, so the star products' kernel evaluates it.
     """
     if i == j:
         raise VariableMismatchError("the two pairing variables must differ")
@@ -105,20 +106,7 @@ def odot_ij(F: FormalSeries, i: str, j: str) -> FormalSeries:
             raise VariableMismatchError("cannot pair in the distinguished variable")
     if "xi" in F.vars.names:
         raise VariableMismatchError("variable name 'xi' already in use")
-    a_max = min(F.degree(i), F.degree(j))
-    if a_max < 0:
-        a_max = 0
-    new_vars = VariableSet(("xi",) + F.vars.names, F.vars.dof)
-    new_trunc = Truncation(a_max, F.trunc.deg_t + F.trunc.deg_xy)
-    terms = {}
-    h = F
-    for a in range(a_max + 1):
-        if h.is_zero:
-            break
-        coef = Fraction(1, factorial(a) ** 2)
-        for e, c in h.terms.items():
-            key = (a,) + e
-            if new_trunc.admits(key):
-                terms[key] = terms.get(key, 0) + c * coef
-        h = h.diff(i, shrink_window=False).diff(j, shrink_window=False)
-    return FormalSeries(new_vars, new_trunc, terms)
+    trunc = Truncation(max(min(F.degree(i), F.degree(j)), 0), F.trunc.deg_t + F.trunc.deg_xy)
+    lifted = F._new(trunc, {(0,) + e: c for e, c in F.terms.items()},
+                    VariableSet(("xi",) + F.vars.names, F.vars.dof))
+    return borel(_exp_pairing(lifted, lifted._constant(1), [((i, j), (), 1)]))

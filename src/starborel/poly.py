@@ -239,11 +239,9 @@ def simple_decompose(P: UniOverPoly) -> UniOverPoly:
     leading-coefficient sheet)."""
     if P.degree == 0:
         return P
-    content, primitive = content_primitive(P)
-    g = gcd_over_fraction_field(primitive, primitive.diff())
-    # g divides exactly (a unit g too), and primitive / g is again primitive with
-    # positive leading content (Gauss's lemma), so it needs no second split
-    out = UniOverPoly(P.var, mp_divexact(primitive.poly, g.poly) * content)
+    # the gcd is primitive in var, so it divides P exactly and leaves P's content
+    # (Gauss's lemma): the quotient is content * (square-free primitive part)
+    out = UniOverPoly(P.var, mp_divexact(P.poly, gcd_over_fraction_field(P, P.diff()).poly))
     if not is_simple(out):
         raise NotSimpleError("square-free part failed the simplicity check")
     return out

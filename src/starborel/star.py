@@ -7,7 +7,8 @@ and multiplied out on the common window.  A pairing (a_e, b_e, w_e) names
 the derivatives taken of f, those taken of g, and a rational weight.  Per
 degree of freedom (q, p) the pairings are (∂_p ⊗ ∂_q, 1) for the standard
 product, (∂_p ⊗ ∂_q, 1/2) and (∂_q ⊗ ∂_p, -1/2) for the Moyal product, and
-(∂_q ∂_p ⊗ 1, ∓1/2) on f and the unit series for T^{±1}.
+(∂_q ∂_p ⊗ 1, ∓1/2) on f and the unit series for T^{±1}.  The diagonal
+pairing ``borel.odot_ij`` is (∂_i ∂_j ⊗ 1, 1) on F lifted to t-degree 0.
 
 The sums stop at the distinguished-degree cap or where a derivative
 vanishes, so polynomial inputs come out exact.  For truncated inputs the
@@ -68,16 +69,20 @@ def _derive(f: FormalSeries, names) -> FormalSeries:
     return f
 
 
-def _exp_pairing(f: FormalSeries, g: FormalSeries, per_dof) -> FormalSeries:
-    """exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) (f ⊗ g) on the common window, over
-    the pairings ``per_dof(q_j, p_j)`` of every degree of freedom j.
+def _dof_pairings(f: FormalSeries, g: FormalSeries, per_dof) -> list:
+    """The pairings ``per_dof(q_j, p_j)`` of every dof j, once f and g are compatible."""
+    f._check_compatible(g)
+    return [e for q, p in _phase_pairs(f.vars) for e in per_dof(q, p)]
+
+
+def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings) -> FormalSeries:
+    """exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) (f ⊗ g) on the common window of two
+    compatible series, t distinguished, for the ``pairings`` (a_e, b_e, w_e).
 
     Depth first over the pairings: the order-n derivatives of a pairing are
     taken from its order-(n-1) ones, with weight w^n / n!, until either
     vanishes or the total order passes the t-cap."""
-    f._check_compatible(g)
     trunc = f.trunc.meet(g.trunc)
-    pairings = [e for q, p in _phase_pairs(f.vars) for e in per_dof(q, p)]
     acc = {}
 
     def walk(i, df, dg, k, coef):
@@ -99,12 +104,12 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, per_dof) -> FormalSeries:
 
 def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     """f ⋆_S g = exp(t Σ_j ∂_{p_j} ⊗ ∂_{q_j}) (f ⊗ g)."""
-    return _exp_pairing(f, g, _PAIRINGS["standard"])
+    return _exp_pairing(f, g, _dof_pairings(f, g, _PAIRINGS["standard"]))
 
 
 def moyal_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     """f ⋆_M g = exp((t/2) Σ_j (∂_{p_j} ⊗ ∂_{q_j} - ∂_{q_j} ⊗ ∂_{p_j})) (f ⊗ g)."""
-    return _exp_pairing(f, g, _PAIRINGS["moyal"])
+    return _exp_pairing(f, g, _dof_pairings(f, g, _PAIRINGS["moyal"]))
 
 
 def star(f: FormalSeries, g: FormalSeries, kind: StarKind = STANDARD) -> FormalSeries:
@@ -132,5 +137,5 @@ def poisson_bracket(f: FormalSeries, g: FormalSeries) -> FormalSeries:
 
 def transition_T(f: FormalSeries, inverse: bool = False) -> FormalSeries:
     """T^{±1} f = exp(∓(t/2) Σ_j ∂_{q_j}∂_{p_j}) f, exact on the window."""
-    w = _HALF if inverse else -_HALF
-    return _exp_pairing(f, FormalSeries.one(f.vars, f.trunc), lambda q, p: [((q, p), (), w)])
+    pairings = [((q, p), (), _HALF if inverse else -_HALF) for q, p in _phase_pairs(f.vars)]
+    return _exp_pairing(f, FormalSeries.one(f.vars, f.trunc), pairings)

@@ -187,9 +187,10 @@ def examples_suite() -> tuple:
     return ok, lines
 
 
-def integral_reps_suite(seed: int = DEFAULT_SEED, count: int = 50) -> tuple:
+def integral_reps_suite(seed: int = DEFAULT_SEED) -> tuple:
     """Random-input equivalence of every integral representation with its
-    conjugation-based definition."""
+    conjugation-based definition, on 50 random inputs per representation."""
+    count = 50
     rng = random.Random(seed)
     lines = []
     ok = True

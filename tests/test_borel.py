@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starborel import (
     MOYAL,
     STANDARD,
     FormalSeries,
     Truncation,
+    UnknownVariableError,
     VariableMismatchError,
     VariableSet,
     borel,
@@ -146,6 +149,69 @@ class TestOdot:
         f = FormalSeries.from_string("z1", vars, TBIG)
         with pytest.raises(VariableMismatchError):
             odot_ij(f, "z1", "z1")
+
+    @pytest.mark.parametrize("names, i, j, error, message", [
+        (("u", "z1", "z2"), "z1", "z1", VariableMismatchError,
+         "the two pairing variables must differ"),
+        (("u", "z1", "z2"), "z1", "w", UnknownVariableError, "unknown variable 'w'"),
+        (("u", "z1", "z2"), "u", "z2", VariableMismatchError,
+         "cannot pair in the distinguished variable"),
+        (("u", "z1", "xi"), "z1", "xi", VariableMismatchError,
+         "variable name 'xi' already in use"),
+    ])
+    def test_input_errors(self, names, i, j, error, message):
+        f = FormalSeries.from_string("1", VariableSet(names), TBIG)
+        with pytest.raises(error) as info:
+            odot_ij(f, i, j)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+ODOT_VARS = (VariableSet(("u", "z1", "z2")), VariableSet(("u", "z1", "z2", "z3")),
+             VariableSet.phase_space(1))
+COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def odot_inputs(draw):
+    """(F, i, j): up to five terms inside a window with caps 0..4, each term's
+    distinguished degree and xy-degree drawn up to the caps, so terms sit on
+    them too."""
+    vars = draw(st.sampled_from(ODOT_VARS))
+    i, j = draw(st.permutations(vars.names[1:]))[:2]
+    trunc = Truncation(draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        rest = [0] * (len(vars.names) - 1)
+        for _ in range(draw(st.integers(0, trunc.deg_xy))):
+            rest[draw(st.integers(0, len(rest) - 1))] += 1
+        terms[(draw(st.integers(0, trunc.deg_t)),) + tuple(rest)] = draw(COEFFS)
+    return FormalSeries(vars, trunc, terms), i, j
+
+
+def typed(terms):
+    return {e: (c, type(c)) for e, c in terms.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(odot_inputs())
+def test_odot_is_the_weighted_derivative_sum(case):
+    # odot_ij(F) = sum_a (d_i^a d_j^a F) / (a!)^2 xi^a, built here term by term
+    F, i, j = case
+    want, h, a = {}, F, 0
+    while not h.is_zero:
+        for e, c in h.terms.items():
+            w = Fraction(c, factorial(a) ** 2)
+            want[(a,) + e] = w.numerator if w.denominator == 1 else w
+        h = h.diff(i, shrink_window=False).diff(j, shrink_window=False)
+        a += 1
+    out = odot_ij(F, i, j)
+    assert out.vars == VariableSet(("xi",) + F.vars.names, F.vars.dof)
+    # xi-cap: the largest a for which d_i^a d_j^a can be nonzero; xy-cap: F's
+    # total degree cap
+    assert out.trunc == Truncation(max(min(F.degree(i), F.degree(j)), 0),
+                                   F.trunc.deg_t + F.trunc.deg_xy)
+    assert typed(out.terms) == typed(want)
 
 
 def test_borel_of_standard_star_matches_formula_path():

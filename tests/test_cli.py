@@ -1,6 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
 
 from starborel.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def run(capsys, *argv):
@@ -202,3 +209,24 @@ class TestErrors:
             code, _, err = run(capsys, "locus", "hadamard1d", "--sf", sf)
             assert code == 1
             assert "error" in err.lower()
+
+
+def readme_block(heading, fence):
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{fence}\n(.*?)```", section, re.S).group(1)
+
+
+@pytest.mark.parametrize("line", readme_block("CLI", "").splitlines(),
+                         ids=lambda line: line.partition(" # ")[0].strip())
+def test_readme_cli_line(capsys, line):
+    # `starborel <args>  # output`: exit 0, and stdout is the commented output
+    command, _, output = line.partition(" # ")
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    if output:
+        assert out == output.strip() + "\n"
+
+
+def test_readme_python_api(capsys):
+    exec(compile(readme_block("Python API", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "t^2*p*q + t^3"

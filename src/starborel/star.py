@@ -3,23 +3,23 @@ transition operator intertwining them, for N degrees of freedom.
 
 All three are exponentials of constant-coefficient differential operators,
 evaluated by one kernel: exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) applied to f ⊗ g
-and multiplied out on the common window.  A pairing (a_e, b_e, w_e) names
-the derivatives taken of f, those taken of g, and a rational weight.  Per
-degree of freedom (q, p) the pairings are (∂_p ⊗ ∂_q, 1) for the standard
-product, (∂_p ⊗ ∂_q, 1/2) and (∂_q ⊗ ∂_p, -1/2) for the Moyal product, and
-(∂_q ∂_p ⊗ 1, ∓1/2) on f and the unit series for T^{±1}.  The diagonal
-pairing ``borel.odot_ij`` is (∂_i ∂_j ⊗ 1, 1) on F lifted to t-degree 0.
-
-The sums stop at the distinguished-degree cap or where a derivative
-vanishes, so polynomial inputs come out exact.  For truncated inputs the
-caller pads the window (derivatives of a truncation are only reliable below
-the padded degree).
+and multiplied out on the common window, in ints (f, g and the weights are
+scaled to integers) with one division per output term.  A pairing
+(a_e, b_e, w_e) names the derivatives taken of f, those taken of g, and a
+rational weight.  Per degree of freedom (q, p) the pairings are
+(∂_p ⊗ ∂_q, 1) for the standard product, (∂_p ⊗ ∂_q, 1/2) and
+(∂_q ⊗ ∂_p, -1/2) for the Moyal product, and (∂_q ∂_p ⊗ 1, ∓1/2) on f and
+the unit series for T^{±1}; ``borel.odot_ij`` is (∂_i ∂_j ⊗ 1, 1) on F
+lifted to t-degree 0.  The sums stop at the t-cap or where a derivative
+vanishes, so polynomial inputs come out exact; truncated inputs need a padded window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
+from operator import add
 
 from .errors import StarBorelError, VariableMismatchError
 from .series import FormalSeries, Truncation, canonical
@@ -63,10 +63,16 @@ def add_shifted(acc: dict, term: FormalSeries, k: int, coef: Fraction, trunc: Tr
             acc[key] = acc.get(key, 0) + c * coef
 
 
-def _derive(f: FormalSeries, names) -> FormalSeries:
-    for name in names:
-        f = f.diff(name, shrink_window=False)
-    return f
+def _derive(terms: dict, idxs) -> dict:
+    for i in idxs:
+        terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in terms.items() if e[i]}
+    return terms
+
+
+def _scaled(f: FormalSeries):
+    """(s, the terms of s·f as ints), s the lcm of f's denominators (1 for zero)."""
+    s = lcm(*(c.denominator for c in f.terms.values()))
+    return s, {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()}
 
 
 def _dof_pairings(f: FormalSeries, g: FormalSeries, per_dof) -> list:
@@ -78,28 +84,40 @@ def _dof_pairings(f: FormalSeries, g: FormalSeries, per_dof) -> list:
 def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings) -> FormalSeries:
     """exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) (f ⊗ g) on the common window of two
     compatible series, t distinguished, for the ``pairings`` (a_e, b_e, w_e).
-
-    Depth first over the pairings: the order-n derivatives of a pairing are
-    taken from its order-(n-1) ones, with weight w^n / n!, until either
-    vanishes or the total order passes the t-cap."""
+    Depth first in ints: f, g scaled by the lcm sf, sg of their denominators,
+    W_e = D·w_e for D the lcm of the weights', and order k ≤ K (the t-cap)
+    adding k!/∏n_e!·∏W_e^(n_e) times K!/k!·D^(K-k): one division per term, by sf·sg·K!·D^K."""
     trunc = f.trunc.meet(g.trunc)
+    cap, dxy = trunc.deg_t, trunc.deg_xy
+    (sf, F), (sg, G) = _scaled(f), _scaled(g)
+    D = lcm(*(w.denominator for _, _, w in pairings))
+    pairs = [([f.vars.index(n) for n in a], [f.vars.index(n) for n in b],
+              w.numerator * (D // w.denominator)) for a, b, w in pairings]
+    unit = G == {(0,) * len(f.vars.names): 1}  # then the leaf adds ∂^a f itself
+    scale = [factorial(cap) // factorial(k) * D ** (cap - k) for k in range(cap + 1)]
     acc = {}
 
     def walk(i, df, dg, k, coef):
-        if i == len(pairings):
-            add_shifted(acc, df * dg, k, coef, trunc)
+        if i < len(pairs):
+            a, b, W = pairs[i]
+            for n in range(1, cap - k + 2):
+                walk(i + 1, df, dg, k + n - 1, coef)
+                if k + n > cap or not (df := _derive(df, a)) or not (dg := _derive(dg, b)):
+                    return
+                coef = coef * W * (k + n) // n
             return
-        a, b, w = pairings[i]
-        n = 0
-        while not (df.is_zero or dg.is_zero):
-            walk(i + 1, df, dg, k + n, coef)
-            n += 1
-            if k + n > trunc.deg_t:
-                break
-            df, dg, coef = _derive(df, a), _derive(dg, b), coef * w / n
+        # the leaf: t^k ∂^a f ∂^b g on the window, times its coefficient
+        right = [(e2, c2, e2[0], sum(e2) - e2[0]) for e2, c2 in dg.items()]
+        for e1, c1, t1, xy1 in [((e[0] + k,) + e[1:], coef * scale[k] * c, e[0] + k, sum(e) - e[0])
+                                for e, c in df.items()]:
+            for e2, c2, t2, xy2 in right:
+                if t1 + t2 <= cap and xy1 + xy2 <= dxy:
+                    key = e1 if unit else tuple(map(add, e1, e2))
+                    acc[key] = acc.get(key, 0) + c1 * c2
 
-    walk(0, f, g, 0, Fraction(1))
-    return f._new(trunc, acc)
+    walk(0, F, G, 0, 1)
+    den = sf * sg * scale[0]
+    return f._new(trunc, {e: Fraction(c, den) if c % den else c // den for e, c in acc.items()})
 
 
 def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
@@ -122,7 +140,7 @@ def moyal_commutator(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     if any(e[0] == 0 for e in c.terms):
         raise StarBorelError("Moyal commutator not divisible by t")
     trunc = Truncation(max(c.trunc.deg_t - 1, 0), c.trunc.deg_xy)
-    return FormalSeries(c.vars, trunc, {(e[0] - 1,) + e[1:]: v for e, v in c.terms.items()})
+    return c._new(trunc, {(e[0] - 1,) + e[1:]: v for e, v in c.terms.items()})
 
 
 def poisson_bracket(f: FormalSeries, g: FormalSeries) -> FormalSeries:

@@ -33,6 +33,23 @@ def test_integral_imports_no_definitions_it_checks():
         f"integral.py imports {sorted(package)}"
 
 
+def test_star_oracles_do_not_call_the_kernel():
+    """The closed Borel formula and the Poisson bracket cross-check the star
+    kernel, so neither may reach it through any of its entry points."""
+    kernel = {"_exp_pairing", "standard_star", "moyal_star", "star", "transition_T"}
+    bodies = {}
+    for path in (SRC / "borel.py", SRC / "star.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "borel_star_standard_formula", "poisson_bracket"):
+                bodies[node.name] = node
+    assert sorted(bodies) == ["borel_star_standard_formula", "poisson_bracket"]
+    for name, body in bodies.items():
+        used = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(body) if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not used & kernel, f"{name} references {sorted(used & kernel)}"
+
+
 def test_every_export_has_a_caller_outside_tests():
     """Each name the package exports is read somewhere in the package (not
     its own definition), in the benchmark or in the README."""

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from importlib import import_module
+from itertools import product
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starborel import (
     MOYAL,
@@ -19,6 +23,7 @@ from starborel import (
     transition_T,
 )
 
+star_mod = import_module("starborel.star")  # the package binds the name to star()
 V1 = VariableSet.phase_space(1)
 T66 = Truncation(6, 6)
 # wide window: holds all intermediate products of small random polynomials exactly
@@ -183,3 +188,114 @@ def test_commutator_checks_divisibility_by_t(monkeypatch):
     monkeypatch.setattr(star_mod, "moyal_star", lambda f, g: f)
     with pytest.raises(StarBorelError, match="not divisible by t"):
         moyal_commutator(S("p"), S("q"))
+
+
+# -- the kernel against a slow Fraction reference ------------------------------
+
+def reference_pairing(f, g, pairings):
+    """sum over multi-indices n of prod_e w_e^(n_e) / n_e! * t^|n| *
+    d^(a.n) f * d^(b.n) g, clipped to the common window, in Fractions."""
+    trunc = f.trunc.meet(g.trunc)
+    want = {}
+    for ns in product(range(trunc.deg_t + 1), repeat=len(pairings)):
+        if sum(ns) > trunc.deg_t:
+            continue
+        df, dg = f, g
+        for (a, b, _), n in zip(pairings, ns):
+            for name in a:
+                df = df.diff(name, n, shrink_window=False)
+            for name in b:
+                dg = dg.diff(name, n, shrink_window=False)
+        coef = prod((Fraction(w) ** n / factorial(n) for (_, _, w), n in zip(pairings, ns)),
+                    start=Fraction(1))
+        for e1, c1 in df.terms.items():
+            for e2, c2 in dg.terms.items():
+                key = (e1[0] + e2[0] + sum(ns),) + tuple(x + y for x, y in zip(e1[1:], e2[1:]))
+                if trunc.admits(key):
+                    want[key] = want.get(key, 0) + coef * c1 * c2
+    return trunc, {e: c.numerator if c.denominator == 1 else c
+                   for e, c in want.items() if c}
+
+
+def typed(terms):
+    return {e: (c, type(c)) for e, c in terms.items()}
+
+
+def assert_matches(out, f, g, pairings):
+    trunc, want = reference_pairing(f, g, pairings)
+    assert out.vars == f.vars
+    assert out.trunc == trunc
+    assert typed(out.terms) == typed(want)
+    assert all(type(c) is int or c.denominator > 1 for c in out.terms.values())
+
+
+MIXED = st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(bool)
+
+
+@st.composite
+def windowed(draw, vars, trunc):
+    """One to six terms whose t-degree and xy-degree reach the window's caps,
+    or now and then the zero series."""
+    if draw(st.integers(0, 31)) == 0:
+        return FormalSeries.zero(vars, trunc)
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        rest = [0] * (len(vars.names) - 1)
+        for _ in range(draw(st.integers(0, trunc.deg_xy))):
+            rest[draw(st.integers(0, len(rest) - 1))] += 1
+        terms[(draw(st.integers(0, trunc.deg_t)),) + tuple(rest)] = draw(MIXED)
+    return FormalSeries(vars, trunc, terms)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(f, g) at dof 1-2; windows with caps 0-8, shared or apart."""
+    vars = VariableSet.phase_space(draw(st.integers(1, 2)))
+    tf = Truncation(draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+    tg = draw(st.sampled_from([tf, Truncation(draw(st.integers(0, 8)), draw(st.integers(0, 8)))]))
+    return draw(windowed(vars, tf)), draw(windowed(vars, tg))
+
+
+def phase_pairings(vars, per_dof):
+    return [e for j in range(1, vars.dof + 1) for e in per_dof(vars.q_name(j), vars.p_name(j))]
+
+
+HALF = Fraction(1, 2)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(operand_pairs())
+def test_star_products_match_the_reference(case):
+    f, g = case
+    assert_matches(standard_star(f, g), f, g,
+                   phase_pairings(f.vars, lambda q, p: [((p,), (q,), 1)]))
+    assert_matches(moyal_star(f, g), f, g,
+                   phase_pairings(f.vars, lambda q, p: [((p,), (q,), HALF), ((q,), (p,), -HALF)]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(operand_pairs(), st.booleans())
+def test_transition_matches_the_reference(case, inverse):
+    f, _ = case
+    one = FormalSeries.one(f.vars, f.trunc)
+    weight = HALF if inverse else -HALF
+    assert_matches(transition_T(f, inverse=inverse), f, one,
+                   phase_pairings(f.vars, lambda q, p: [((q, p), (), weight)]))
+
+
+# weights whose denominators are not 2, so that D = lcm of them is 15
+ODD_WEIGHTS = [
+    lambda q, p: [((p,), (q,), Fraction(1, 3)), ((q,), (p,), Fraction(-2, 5))],
+    lambda q, p: [((q, p), (), Fraction(-2, 5)), ((p,), (), Fraction(1, 3))],
+    lambda q, p: [((p, p), (q,), Fraction(1, 3)), ((q,), (), Fraction(-2, 5)), ((), (p,), 1)],
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(operand_pairs(), st.sampled_from(ODD_WEIGHTS), st.booleans())
+def test_kernel_matches_the_reference_for_other_weights(case, per_dof, unit):
+    f, g = case
+    if unit:
+        g = FormalSeries.one(f.vars, g.trunc)
+    pairings = phase_pairings(f.vars, per_dof)
+    assert_matches(star_mod._exp_pairing(f, g, pairings), f, g, pairings)

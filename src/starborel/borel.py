@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import UnknownVariableError, VariableMismatchError
-from .series import FormalSeries, Truncation, VariableSet
-from .star import StarKind, STANDARD, _exp_pairing, add_shifted, star, transition_T
+from .series import FormalSeries, Truncation, VariableSet, _window_product
+from .star import StarKind, STANDARD, _exp_pairing, star, transition_T
 
 
 def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
@@ -49,6 +49,7 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
     q, p = vars.q_name(1), vars.p_name(1)
     trunc = fhat.trunc.meet(ghat.trunc)
     acc = {}
+    rest = (0,) * (len(vars.names) - 1)
     gparts = ghat.univariate_coeffs(vars.distinguished)
     for m, fm in enumerate(fhat.univariate_coeffs(vars.distinguished)):
         if fm.is_zero:
@@ -61,7 +62,8 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
                 coef = Fraction(factorial(n) * factorial(m),
                                 factorial(n + m + s) * factorial(s))
                 term = fm.diff(p, s, shrink_window=False) * gn.diff(q, s, shrink_window=False)
-                add_shifted(acc, term, m + n + s, coef, trunc)
+                _window_product(acc, term.terms, {(m + n + s,) + rest: coef},
+                                trunc.deg_t, trunc.deg_xy)
     return FormalSeries(vars, trunc, acc)
 
 

@@ -126,7 +126,9 @@ def conv_locus(P: UniOverPoly, Pbar: MultiPoly) -> Variety:
     {P(Pbar) = 0}.
     """
     var = P.var
-    if not is_simple(P):
+    # res(P, P') = 0 exactly when P is not square-free: lc(P') = deg(P) lc(P) != 0
+    disc = discriminant_locus(P) if P.degree >= 1 else None
+    if disc is not None and disc.is_zero:
         raise NotSimpleError(f"polynomial is not square-free in {var!r}")
     ring = _union_ring(P.vars, Pbar.vars)
     Pmp = P.poly.rehome(ring)
@@ -142,10 +144,8 @@ def conv_locus(P: UniOverPoly, Pbar: MultiPoly) -> Variety:
     leaves = [Leaf("leading coefficient", coeffs[-1].rehome(locus_vars))]
     if not coeffs[0].is_zero:
         leaves.append(Leaf("value at 0", coeffs[0].rehome(locus_vars)))
-    if P.degree >= 1:
-        disc = discriminant_locus(P).rehome(locus_vars)
-        if not disc.is_zero:
-            leaves.append(Leaf("discriminant", disc))
+    if disc is not None:
+        leaves.append(Leaf("discriminant", disc.rehome(locus_vars)))
     endpoint = Pmp.substitute(var, Pbar_big)
     if not endpoint.is_zero:
         # the endpoint sheet: Pbar is generically not a root of P

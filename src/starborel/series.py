@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from operator import add
 
 from .errors import (
@@ -118,6 +117,28 @@ class Truncation:
 
     def meet(self, other: "Truncation") -> "Truncation":
         return Truncation(min(self.deg_t, other.deg_t), min(self.deg_xy, other.deg_xy))
+
+
+def _window_product(acc: dict, left: dict, right: dict, dt: int, dxy: int) -> dict:
+    """acc += left * right over term dicts, keeping only the products whose
+    distinguished degree is at most dt and whose other degree is at most dxy."""
+    get = acc.get
+    right = [(e2, c2, e2[0], sum(e2) - e2[0]) for e2, c2 in right.items()]
+    for e1, c1 in left.items():
+        t1 = e1[0]
+        xy1 = sum(e1) - t1
+        for e2, c2, t2, xy2 in right:
+            if t1 + t2 <= dt and xy1 + xy2 <= dxy:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+    return acc
+
+
+def _derive(terms: dict, idxs) -> dict:
+    """The term dict differentiated once by each variable index in ``idxs``."""
+    for i in idxs:
+        terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in terms.items() if e[i]}
+    return terms
 
 
 class SparseTerms:
@@ -292,25 +313,16 @@ class SparseTerms:
             return self.scale(other)
         self._check_compatible(other)
         trunc = self._meet(other)
+        if trunc is not None:
+            return self._new(trunc, _window_product({}, self.terms, other.terms,
+                                                     trunc.deg_t, trunc.deg_xy))
         terms = {}
         get = terms.get
-        if trunc is None:
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(map(add, e1, e2))
-                    terms[e] = get(e, 0) + c1 * c2
-            return self._new(None, terms)
-        dt, dxy = trunc.deg_t, trunc.deg_xy
-        right = [(e2, c2, e2[0], sum(e2) - e2[0]) for e2, c2 in other.terms.items()]
         for e1, c1 in self.terms.items():
-            t1 = e1[0]
-            xy1 = sum(e1) - t1
-            for e2, c2, t2, xy2 in right:
-                if t1 + t2 > dt or xy1 + xy2 > dxy:
-                    continue
+            for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 terms[e] = get(e, 0) + c1 * c2
-        return self._new(trunc, terms)
+        return self._new(None, terms)
 
     def scale(self, r):
         """r times this, for an exact rational r."""
@@ -349,12 +361,9 @@ class SparseTerms:
         shrinks by ``order`` in the differentiated direction unless
         ``shrink_window`` is false."""
         i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k >= order:
-                fall = factorial(k) // factorial(k - order)
-                terms[e[:i] + (k - order,) + e[i + 1:]] = c * fall
+        if order < 0:
+            raise DegenerateError("negative derivative orders not supported")
+        terms = _derive(self.terms, [i] * order)
         trunc = self.trunc
         if trunc is not None and shrink_window and order:
             if i == 0:

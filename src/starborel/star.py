@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add
 
 from .errors import StarBorelError, VariableMismatchError
-from .series import FormalSeries, Truncation, canonical
+from .series import FormalSeries, Truncation, _derive, _window_product
 
 _HALF = Fraction(1, 2)
 
@@ -52,23 +51,6 @@ def _phase_pairs(vars):
     return [(vars.q_name(j), vars.p_name(j)) for j in range(1, vars.dof + 1)]
 
 
-def add_shifted(acc: dict, term: FormalSeries, k: int, coef: Fraction, trunc: Truncation):
-    """acc += coef * t^k * term, termwise, keeping only the multi-indices
-    inside ``trunc``."""
-    dt, dxy = trunc.deg_t - k, trunc.deg_xy
-    coef = canonical(coef)
-    for e, c in term.terms.items():
-        if e[0] <= dt and sum(e) - e[0] <= dxy:
-            key = (e[0] + k,) + e[1:]
-            acc[key] = acc.get(key, 0) + c * coef
-
-
-def _derive(terms: dict, idxs) -> dict:
-    for i in idxs:
-        terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in terms.items() if e[i]}
-    return terms
-
-
 def _scaled(f: FormalSeries):
     """(s, the terms of s·f as ints), s the lcm of f's denominators (1 for zero)."""
     s = lcm(*(c.denominator for c in f.terms.values()))
@@ -93,7 +75,6 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings) -> FormalSeries:
     D = lcm(*(w.denominator for _, _, w in pairings))
     pairs = [([f.vars.index(n) for n in a], [f.vars.index(n) for n in b],
               w.numerator * (D // w.denominator)) for a, b, w in pairings]
-    unit = G == {(0,) * len(f.vars.names): 1}  # then the leaf adds ∂^a f itself
     scale = [factorial(cap) // factorial(k) * D ** (cap - k) for k in range(cap + 1)]
     acc = {}
 
@@ -107,13 +88,8 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings) -> FormalSeries:
                 coef = coef * W * (k + n) // n
             return
         # the leaf: t^k ∂^a f ∂^b g on the window, times its coefficient
-        right = [(e2, c2, e2[0], sum(e2) - e2[0]) for e2, c2 in dg.items()]
-        for e1, c1, t1, xy1 in [((e[0] + k,) + e[1:], coef * scale[k] * c, e[0] + k, sum(e) - e[0])
-                                for e, c in df.items()]:
-            for e2, c2, t2, xy2 in right:
-                if t1 + t2 <= cap and xy1 + xy2 <= dxy:
-                    key = e1 if unit else tuple(map(add, e1, e2))
-                    acc[key] = acc.get(key, 0) + c1 * c2
+        c = coef * scale[k]
+        _window_product(acc, {(e[0] + k,) + e[1:]: c * v for e, v in df.items()}, dg, cap, dxy)
 
     walk(0, F, G, 0, 1)
     den = sf * sg * scale[0]

@@ -244,3 +244,9 @@ class TestSerialize:
         assert text.startswith("intersect {")
         assert 'cond "leading coefficient"' in text
         assert text.rstrip().endswith("}")
+
+
+def test_conv_locus_reports_non_simple_before_a_bad_branch():
+    # not square-free in z1, and the branch z + 1 does not vanish at the origin
+    with pytest.raises(NotSimpleError, match="not square-free in 'z1'"):
+        conv_locus(U("z1^2 + 2*z1*z2 + z2^2"), MultiPoly.from_string("z + 1", Vbar))

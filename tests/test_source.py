@@ -129,3 +129,16 @@ def test_every_private_module_name_is_read():
                      or isinstance(node, ast.Attribute)} - own
     unread = sorted(where for name, where in defined.items() if name not in read)
     assert not unread, f"private names nothing reads at {unread}"
+
+
+def test_no_function_is_defined_in_two_modules():
+    """One loop per concept: a module-level function name (say ``_derive``)
+    is defined in one module of the package only.  Decorated definitions are
+    left out: the CLI's commands are named after the functions they call."""
+    where = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.FunctionDef) and not top.decorator_list:
+                where.setdefault(top.name, []).append(path.name)
+    twice = {name: files for name, files in where.items() if len(files) > 1}
+    assert not twice, f"functions defined in more than one module: {twice}"

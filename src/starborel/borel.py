@@ -50,19 +50,23 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
     trunc = fhat.trunc.meet(ghat.trunc)
     acc = {}
     rest = (0,) * (len(vars.names) - 1)
-    gparts = ghat.univariate_coeffs(vars.distinguished)
-    for m, fm in enumerate(fhat.univariate_coeffs(vars.distinguished)):
-        if fm.is_zero:
-            continue
-        for n, gn in enumerate(gparts):
-            if gn.is_zero:
-                continue
-            smax = min(fm.degree(p), gn.degree(q), trunc.deg_t - m - n)
-            for s in range(smax + 1):
+
+    def derivatives(f, name, k):
+        """The running derivatives of the xi^k coefficient f, up to the window."""
+        out = [f]
+        for _ in range(min(f.degree(name), trunc.deg_t - k)):
+            out.append(out[-1].diff(name, shrink_window=False))
+        return out
+
+    xi = vars.distinguished
+    fparts = [derivatives(fm, p, m) for m, fm in enumerate(fhat.univariate_coeffs(xi))]
+    gparts = [derivatives(gn, q, n) for n, gn in enumerate(ghat.univariate_coeffs(xi))]
+    for m, dfm in enumerate(fparts):
+        for n, dgn in enumerate(gparts):
+            for s in range(min(len(dfm), len(dgn), trunc.deg_t - m - n + 1)):
                 coef = Fraction(factorial(n) * factorial(m),
                                 factorial(n + m + s) * factorial(s))
-                term = fm.diff(p, s, shrink_window=False) * gn.diff(q, s, shrink_window=False)
-                _window_product(acc, term.terms, {(m + n + s,) + rest: coef},
+                _window_product(acc, (dfm[s] * dgn[s]).terms, {(m + n + s,) + rest: coef},
                                 trunc.deg_t, trunc.deg_xy)
     return FormalSeries(vars, trunc, acc)
 

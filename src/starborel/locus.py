@@ -8,7 +8,6 @@ singular sets; tests assert containment, never equality.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import inf, isfinite, prod
 
 from .errors import (
@@ -55,9 +54,8 @@ class Variety:
 
     def contains_exact(self, point: dict) -> bool:
         """Exact membership at a rational point binding every variable."""
-        bindings = {k: as_rat(v) for k, v in point.items()}
         for group in self.groups:
-            if not any(leaf.poly.evaluate(bindings) == 0 for leaf in group):
+            if not any(leaf.poly.evaluate(point) == 0 for leaf in group):
                 return False
         return True
 
@@ -135,8 +133,7 @@ def conv_locus(P: UniOverPoly, Pbar: MultiPoly) -> Variety:
     Pbar_big = Pbar.rehome(ring)
     if Pbar_big.degree(var) > 0:
         raise VariableMismatchError(f"endpoint branch must not involve {var!r}")
-    origin = {n: Fraction(0) for n in Pbar.vars.names}
-    if Pbar.evaluate(origin) != 0:
+    if Pbar.coeff((0,) * len(Pbar.vars.names)):
         raise DegenerateError("endpoint branch must vanish at the origin")
     locus_vars = _without(ring, var)
 

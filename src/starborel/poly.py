@@ -6,7 +6,7 @@ and discriminants.
 The gcd is one chain: ``rational_content`` (the positive gcd of all
 coefficients), ``_content_in`` (the gcd of the coefficients in one variable)
 and ``_prs`` (the primitive remainder sequence in that variable), which
-``mp_gcd``, ``content_primitive`` and ``gcd_over_fraction_field`` share.
+``mp_gcd``, ``content_primitive``, ``gcd_over_fraction_field`` and ``is_simple`` share.
 
 Polynomials share their ring code with the windowed series in
 :mod:`starborel.series` but have no window: arithmetic never drops terms.
@@ -192,10 +192,10 @@ def _pseudo_rem(A: MultiPoly, B: MultiPoly, var: str) -> MultiPoly:
 
 
 def _prs(A: MultiPoly, B: MultiPoly, var: str) -> MultiPoly:
-    """Gcd, up to sign, of two polynomials primitive in var (their coefficients
-    in var share no factor, not even a rational one), by the primitive
-    remainder sequence in var: each remainder is divided by its content in
-    var, which leaves it primitive."""
+    """Gcd in F[var] (F the fraction field of the other variables) up to a
+    factor in F, by the primitive remainder sequence: each remainder is divided
+    by its content in var.  Only ``mp_gcd``'s exact Z[vars] result needs A and
+    B primitive in var (not even a rational factor shared): then it is up to sign."""
     if A.degree(var) < B.degree(var):
         A, B = B, A
     while not B.is_zero:
@@ -220,17 +220,14 @@ def gcd_over_fraction_field(P: UniOverPoly, Q: UniOverPoly) -> UniOverPoly:
     denominator-cleared and primitive."""
     if P.var != Q.var:
         raise VariableMismatchError(f"distinguished variables differ: {P.var} vs {Q.var}")
-    # the contents in var are units of F[var]: only the primitive parts count
-    g = _prs(content_primitive(P)[1].poly, content_primitive(Q)[1].poly, P.var)
-    return content_primitive(UniOverPoly(P.var, g))[1]
+    # contents are units of F[var]: the sequence ends on an F-associate of the
+    # gcd whatever they are, and its primitive part is unique
+    return content_primitive(UniOverPoly(P.var, _prs(P.poly, Q.poly, P.var)))[1]
 
 
 def is_simple(P: UniOverPoly) -> bool:
     """Square-free in the distinguished variable over the fraction field."""
-    if P.degree == 0:
-        return True
-    g = gcd_over_fraction_field(P, P.diff())
-    return g.degree == 0
+    return P.degree == 0 or _prs(P.poly, P.diff().poly, P.var).degree(P.var) == 0
 
 
 def simple_decompose(P: UniOverPoly) -> UniOverPoly:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .errors import (
@@ -132,6 +133,12 @@ def _window_product(acc: dict, left: dict, right: dict, dt: int, dxy: int) -> di
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
     return acc
+
+
+def _scaled(f):
+    """(s, the terms of s·f as ints), s the lcm of f's denominators (1 for zero)."""
+    s = lcm(*(c.denominator for c in f.terms.values()))
+    return s, {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()}
 
 
 def _derive(terms: dict, idxs) -> dict:
@@ -399,31 +406,35 @@ class SparseTerms:
             return self
         if self.trunc is not None and self.vars.distinguished in bindings:
             raise BindingError("cannot bind the distinguished variable")
-        idx = {self.vars.index(k): canonical(as_rat(v)) for k, v in bindings.items()}
-        terms = {}
-        for e, c in self.terms.items():
-            key = list(e)
-            for i, v in idx.items():
-                c *= v ** e[i]
-                key[i] = 0
-            key = tuple(key)
-            terms[key] = terms.get(key, 0) + c
-        return self._new(self.trunc, terms)
+        return self._new(self.trunc, self._bind(bindings))
 
     def evaluate(self, bindings: dict):
-        """Full evaluation; exact with rational bindings, numeric otherwise."""
+        """Exact value at rational bindings of every variable: an int when integral."""
         missing = [n for n in self.vars.names if n not in bindings]
         if missing:
             raise UnknownVariableError(f"missing bindings for {missing}")
-        vals = [bindings[n] for n in self.vars.names]
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(vals, e):
-                if k:
-                    v = v * x ** k
-            total = total + v
-        return total
+        return sum(self._bind({n: bindings[n] for n in self.vars.names}).values())
+
+    def _bind(self, bindings: dict) -> dict:
+        """The terms with the rational ``bindings`` put in, summed by the exponents
+        left (bound ones zeroed).  In ints: terms scaled by their denominators' lcm,
+        a value a/d of top degree K as a^k·d^(K-k), one division per result term."""
+        den, terms = _scaled(self)
+        tables = []
+        for name, v in bindings.items():
+            i, v = self.vars.index(name), as_rat(v)
+            K = max((e[i] for e in terms), default=0)
+            tables.append((i, [v.numerator ** k * v.denominator ** (K - k) for k in range(K + 1)]))
+            den *= v.denominator ** K
+        acc = {}
+        for e, c in terms.items():
+            key = list(e)
+            for i, table in tables:
+                c *= table[e[i]]
+                key[i] = 0
+            key = tuple(key)
+            acc[key] = acc.get(key, 0) + c
+        return {e: Fraction(c, den) if c % den else c // den for e, c in acc.items()}
 
     def rehome(self, vars: VariableSet):
         """The same terms over another variable set, which must contain every
@@ -484,7 +495,8 @@ def _tokenize(text: str):
         pos = m.end()
         num, name, caret, star, plus, minus = m.groups()
         if num is not None:
-            out.append(("num", as_rat(num.replace(" ", ""))))
+            # a plain digit string stays an int: only those are exponents
+            out.append(("num", int(num) if num.isdigit() else as_rat(num.replace(" ", ""))))
         elif name is not None:
             out.append(("name", name))
         elif caret:
@@ -522,9 +534,9 @@ def parse_terms(text: str):
             elif kind == "name":
                 e = 1
                 if i + 1 < len(toks) and toks[i + 1][0] == "^":
-                    if i + 2 >= len(toks) or toks[i + 2][0] != "num" or toks[i + 2][1].denominator != 1:
+                    if i + 2 >= len(toks) or toks[i + 2][1].__class__ is not int:
                         raise ParseError("exponent must be a nonnegative integer")
-                    e = int(toks[i + 2][1])
+                    e = toks[i + 2][1]
                     i += 2
                 powers[val] = powers.get(val, 0) + e
             else:

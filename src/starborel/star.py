@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import StarBorelError, VariableMismatchError
-from .series import FormalSeries, Truncation, _derive, _window_product
+from .series import FormalSeries, Truncation, _derive, _scaled, _window_product
 
 _HALF = Fraction(1, 2)
 
@@ -49,12 +49,6 @@ def _phase_pairs(vars):
     if vars.dof < 1:
         raise VariableMismatchError("star products need a phase space with dof >= 1")
     return [(vars.q_name(j), vars.p_name(j)) for j in range(1, vars.dof + 1)]
-
-
-def _scaled(f: FormalSeries):
-    """(s, the terms of s·f as ints), s the lcm of f's denominators (1 for zero)."""
-    s = lcm(*(c.denominator for c in f.terms.values()))
-    return s, {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()}
 
 
 def _dof_pairings(f: FormalSeries, g: FormalSeries, per_dof) -> list:

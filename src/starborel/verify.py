@@ -78,7 +78,7 @@ def locus_distance_xi(V: Variety, point: dict) -> float:
     """Minimum modulus over the nonzero roots in the one unbound variable of
     every bound leaf; +inf when every bound leaf is a nonzero constant.
 
-    The origin is excluded: the germs under study are regular at 0 by
+    The origin is excluded exactly: the germs under study are regular at 0 by
     construction, so a {xi = 0} sheet never bounds the principal disc.
     Leaves are scaled by a power of two first, so no scale moves a root."""
     free = [n for n in V.vars.names if n not in point]
@@ -92,13 +92,12 @@ def locus_distance_xi(V: Variety, point: dict) -> float:
         if not coeffs:
             raise OnVarietyError(
                 f"leaf {leaf.label!r} vanishes identically at this point")
-        if len(coeffs) == 1:
-            continue  # nonzero constant in xi: no root
         exact = [c.coeff((0,) * len(c.vars.names)) for c in reversed(coeffs)]
+        while not exact[-1]:
+            exact.pop()  # a root at xi = 0, exactly
         s = _unit_scale(max(exact, key=abs))
         for root in np.roots([float(c * s) for c in exact]):
-            if abs(root) >= 1e-12:
-                best = min(best, abs(root))
+            best = min(best, abs(root))
     return best
 
 

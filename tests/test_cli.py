@@ -200,6 +200,11 @@ class TestErrors:
         assert code == 1
         assert "error" in err.lower()
 
+    def test_fractional_exponent(self, capsys):
+        code, out, err = run(capsys, "star", "t^4/2", "q")
+        assert code == 1 and not out
+        assert "exponent must be a nonnegative integer" in err
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1

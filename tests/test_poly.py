@@ -322,3 +322,49 @@ class TestTransforms:
 
 def from_sympy_u(expr):
     return UniOverPoly.from_multipoly(from_sympy(expr), "z1")
+
+
+@st.composite
+def fraction_field_operands(draw):
+    """(var, P, Q) over x, y, z with a shared factor, each scaled by a
+    rational content and a content in the other variables; or Q of degree 0
+    in var; or Q dividing P, so that the remainder sequence returns it."""
+    var = draw(st.sampled_from(V3.names))
+    i = V3.index(var)
+
+    def content():
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), NONZERO,
+                                     min_size=1, max_size=2))
+        # one or two terms in the other variables, with rational coefficients
+        k = MultiPoly(V3, {e[:i] + (0,) + e[i + 1:]: c for e, c in terms.items()})
+        return k if not k.is_zero else MultiPoly.constant(V3, draw(NONZERO))
+
+    a, b, c = draw(FACTOR), draw(FACTOR), draw(FACTOR)
+    shape = draw(st.sampled_from(["shared", "degree 0", "divides"]))
+    Q = content() if shape == "degree 0" else b * c * content()
+    P = Q * a if shape == "divides" else a * c * content()
+    return (var, Q, P) if draw(st.booleans()) else (var, P, Q)
+
+
+class TestFractionFieldGcdContents:
+    """The fraction-field gcd splits one content and the square-free test
+    none: inputs with contents give the same results as the full gcd."""
+
+    @DIVIDE
+    @given(fraction_field_operands())
+    def test_gcd_is_primitive_part_of_full_gcd(self, case):
+        var, P, Q = case
+        want = content_primitive(UniOverPoly(var, mp_gcd(P, Q)))[1]
+        got = gcd_over_fraction_field(UniOverPoly(var, P), UniOverPoly(var, Q))
+        assert got.var == var
+        assert {e: (c, type(c)) for e, c in got.poly.terms.items()} == \
+            {e: (c, type(c)) for e, c in want.poly.terms.items()}
+
+    @DIVIDE
+    @given(fraction_field_operands())
+    def test_is_simple_is_a_constant_gcd_with_the_derivative(self, case):
+        # a monomial factor of degree 2 or more in var makes P not simple
+        var, P, _ = case
+        U = UniOverPoly(var, P)
+        want = U.degree == 0 or gcd_over_fraction_field(U, U.diff()).degree == 0
+        assert is_simple(U) == want

@@ -57,6 +57,13 @@ class TestParsePrint:
             with pytest.raises(ParseError):
                 S(bad)
 
+    def test_exponent_is_a_digit_string(self):
+        # the fraction 4/2 reduces to 2, but an exponent must be written as digits
+        for bad in ["t^4/2", "t^2/1", "p^1 / 1*q"]:
+            with pytest.raises(ParseError, match="exponent must be a nonnegative integer"):
+                S(bad)
+        assert S("4/2*t") == S("2*t") and S("t^ 2*p") == S("t^2*p")
+
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError):
             S("w^2")

@@ -1,5 +1,6 @@
-"""Properties of the series ring's one derivative loop and one windowed
-product loop, against references computed here from plain term dicts."""
+"""Properties of the series ring's one derivative loop, one windowed
+product loop and one binding loop, against references computed here from
+plain term dicts."""
 
 from fractions import Fraction
 from math import factorial
@@ -78,6 +79,61 @@ def test_windowed_product_is_the_clipped_plain_product(pair):
     out = f * g
     assert out.trunc == trunc
     assert typed(out.terms) == typed(want)
+
+
+# zero, negative and integral values, and denominators up to 10^6
+VALUES = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6))
+
+
+@st.composite
+def bound_operands(draw, full):
+    """(f, bindings): f a polynomial in z1..z3 or a windowed series at dof
+    1-2; bindings of every variable if ``full``, else of any subset of them
+    (empty, partial or all) that leaves a series' distinguished variable free."""
+    if draw(st.booleans()):
+        vars = draw(st.sampled_from(PHASE))
+        trunc = Truncation(draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+        f = FormalSeries(vars, trunc, draw(term_dicts(vars)))
+    else:
+        f = MultiPoly(ZVARS, draw(term_dicts(ZVARS)))
+    names = f.vars.names if full or f.trunc is None else f.vars.names[1:]
+    if not full:
+        names = draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names)))
+    return f, {n: draw(VALUES) for n in names}
+
+
+def bound_reference(f, bindings):
+    """The terms with the bound values put in, in plain Fractions, summed by
+    the exponents left (the bound ones zeroed)."""
+    idx = {f.vars.index(n): Fraction(v) for n, v in bindings.items()}
+    want = {}
+    for e, c in f.terms.items():
+        v = Fraction(c)
+        for i, x in idx.items():
+            v *= x ** e[i]
+        key = tuple(0 if i in idx else k for i, k in enumerate(e))
+        want[key] = want.get(key, 0) + v
+    return want
+
+
+@PROPERTY
+@given(bound_operands(full=False))
+def test_evaluate_partial_is_the_plain_loop(case):
+    f, bindings = case
+    out = f.evaluate_partial(bindings)
+    assert type(out) is type(f) and out.vars == f.vars and out.trunc == f.trunc
+    assert typed(out.terms) == typed(plain(bound_reference(f, bindings)))
+
+
+@PROPERTY
+@given(bound_operands(full=True))
+def test_evaluate_is_the_plain_loop(case):
+    f, bindings = case
+    want = sum(bound_reference(f, bindings).values(), Fraction(0))
+    got = f.evaluate(bindings)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 @pytest.mark.parametrize("f, name", [

@@ -91,6 +91,17 @@ class TestLocusDistance:
         assert locus_distance_xi(V, {"q": Fraction(0), "p": Fraction(0)}) \
             == math.inf
 
+    @pytest.mark.parametrize("terms", [
+        {(1, 0, 0): 1, (0, 0, 0): Fraction(-1, 10 ** 13)},   # xi - 10^-13
+        {(2, 0, 0): 1, (1, 0, 0): Fraction(-1, 10 ** 13)},   # xi^2 - 10^-13 xi
+    ])
+    def test_tiny_nonzero_root_kept(self, terms):
+        # only xi = 0 itself is excluded, however close a root comes to it
+        vars = VariableSet(("xi", "q", "p"))
+        V = Variety(vars, [[Leaf("tiny", MultiPoly(vars, terms))]])
+        d = locus_distance_xi(V, {"q": Fraction(0), "p": Fraction(0)})
+        assert abs(d - 1e-13) < 1e-25
+
     @pytest.mark.parametrize("scale", [Fraction(1, 10 ** 400), Fraction(10 ** 400)])
     def test_leaf_scale_outside_float_range(self, scale):
         # (xi - 1) * scale: the coefficients have no float, the root is 1

@@ -17,14 +17,16 @@ from .star import StarKind, STANDARD, _exp_pairing, star, transition_T
 
 def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
     """beta: t^n -> xi^n / n!, coefficientwise."""
-    g = f.rename_distinguished(new_name)
-    return g._new(g.trunc, {e: Fraction(c, factorial(e[0])) for e, c in g.terms.items()})
+    fact = [factorial(n) for n in range(f.trunc.deg_t + 1)]
+    return f._new(f.trunc, {e: Fraction(c.numerator, c.denominator * fact[e[0]])
+                            for e, c in f.terms.items()}, f.vars.renamed_distinguished(new_name))
 
 
 def inverse_borel(fhat: FormalSeries) -> FormalSeries:
     """beta^{-1}: xi^n -> n! t^n, coefficientwise."""
-    g = fhat.rename_distinguished("t")
-    return g._new(g.trunc, {e: c * factorial(e[0]) for e, c in g.terms.items()})
+    fact = [factorial(n) for n in range(fhat.trunc.deg_t + 1)]
+    return fhat._new(fhat.trunc, {e: c * fact[e[0]] for e, c in fhat.terms.items()},
+                     fhat.vars.renamed_distinguished("t"))
 
 
 def borel_star(fhat: FormalSeries, ghat: FormalSeries,

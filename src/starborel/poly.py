@@ -17,10 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm as int_lcm
-from operator import add, neg, sub
+from operator import add, sub
 
 from .errors import DegenerateError, NotSimpleError, VariableMismatchError
-from .series import SparseTerms, VariableSet
+from .series import SparseTerms, VariableSet, _glex_key
 
 
 class MultiPoly(SparseTerms):
@@ -105,11 +105,6 @@ def _split_content(P: MultiPoly):
     """(r, P / r) for r the rational content of P."""
     r = rational_content(P)
     return r, P.scale(1 / r)
-
-
-def _glex_key(e):
-    """Heap entry for exponent e: the graded-lex largest pops first."""
-    return -sum(e), tuple(map(neg, e)), e
 
 
 def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, neg
 
 from .errors import (
     BindingError,
@@ -118,6 +118,11 @@ class Truncation:
 
     def meet(self, other: "Truncation") -> "Truncation":
         return Truncation(min(self.deg_t, other.deg_t), min(self.deg_xy, other.deg_xy))
+
+
+def _glex_key(e):
+    """Graded-lex key of exponent e, largest first; it ends with e, so it is also a heap entry."""
+    return -sum(e), tuple(map(neg, e)), e
 
 
 def _window_product(acc: dict, left: dict, right: dict, dt: int, dxy: int) -> dict:
@@ -262,7 +267,7 @@ class SparseTerms:
         """(multi-index, coefficient) of the graded-lex leading term."""
         if self.is_zero:
             raise DegenerateError("zero polynomial has no leading term")
-        key = max(self.terms, key=lambda e: (sum(e), e))
+        key = min(self.terms, key=_glex_key)
         return key, self.terms[key]
 
     def univariate_coeffs(self, name: str) -> list:
@@ -354,12 +359,7 @@ class SparseTerms:
         if self.vars != other.vars:
             return False
         window = self._meet(other)
-        if window is None:
-            return self.terms == other.terms
-        for e in set(self.terms) | set(other.terms):
-            if window.admits(e) and self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        return self._new(window, self.terms).terms == other._new(window, other.terms).terms
 
     # -- calculus and substitution ----------------------------------------
 
@@ -381,22 +381,15 @@ class SparseTerms:
 
     def substitute(self, name: str, replacement):
         """Exact substitution of ``replacement`` for one variable."""
-        i = self.vars.index(name)
+        parts = self.univariate_coeffs(name)
         replacement._check_compatible(self)
         trunc = self._meet(replacement)
-        powers = {0: self._new(trunc, {(0,) * len(self.vars.names): 1})}
-
-        def power(k):
-            if k not in powers:
-                powers[k] = power(k - 1) * replacement
-            return powers[k]
-
-        by_exp = {}
-        for e, c in self.terms.items():
-            by_exp.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        power = self._new(trunc, {(0,) * len(self.vars.names): 1})
         out = self._new(trunc, {})
-        for k, part in sorted(by_exp.items()):
-            out = out + self._new(trunc, part) * power(k)
+        for k, part in enumerate(parts):
+            if k:
+                power = power * replacement
+            out = out + part * power
         return out
 
     def evaluate_partial(self, bindings: dict):
@@ -481,10 +474,11 @@ class FormalSeries(SparseTerms):
 
 # -- repo-wide text grammar ----------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-))")
+_TOKEN = re.compile(r"\s*(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^]))")
 
 
 def _tokenize(text: str):
+    """(kind, value) tokens, closed by an ("end", None) sentinel."""
     pos, out = 0, []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -493,69 +487,55 @@ def _tokenize(text: str):
                 raise ParseError(f"bad character near {text[pos:pos+8]!r}")
             break
         pos = m.end()
-        num, name, caret, star, plus, minus = m.groups()
+        num, name, op = m.groups()
         if num is not None:
             # a plain digit string stays an int: only those are exponents
             out.append(("num", int(num) if num.isdigit() else as_rat(num.replace(" ", ""))))
         elif name is not None:
             out.append(("name", name))
-        elif caret:
-            out.append(("^", None))
-        elif star:
-            out.append(("*", None))
-        elif plus:
-            out.append(("+", None))
-        elif minus:
-            out.append(("-", None))
+        else:
+            out.append((op, None))
+    out.append(("end", None))
     return out
 
 
 def parse_terms(text: str):
     """Parse grammar text into a list of (rational coefficient, {var: exponent})."""
     toks = _tokenize(text)
-    if not toks:
+    if len(toks) == 1:
         raise ParseError("empty expression")
     terms, i = [], 0
-    while i < len(toks):
+    while toks[i][0] != "end":
         if terms and toks[i][0] not in "+-":
             raise ParseError("terms must be joined by + or -")
         sign = Fraction(1)
-        while i < len(toks) and toks[i][0] in "+-":
+        while toks[i][0] in "+-":
             if toks[i][0] == "-":
                 sign = -sign
             i += 1
-        if i >= len(toks):
+        if toks[i][0] == "end":
             raise ParseError("dangling sign")
-        coeff, powers, saw_factor = sign, {}, False
+        coeff, powers = sign, {}
         while True:
             kind, val = toks[i]
             if kind == "num":
                 coeff *= val
             elif kind == "name":
                 e = 1
-                if i + 1 < len(toks) and toks[i + 1][0] == "^":
-                    if i + 2 >= len(toks) or toks[i + 2][1].__class__ is not int:
-                        raise ParseError("exponent must be a nonnegative integer")
+                if toks[i + 1][0] == "^":
                     e = toks[i + 2][1]
+                    if e.__class__ is not int:
+                        raise ParseError("exponent must be a nonnegative integer")
                     i += 2
                 powers[val] = powers.get(val, 0) + e
             else:
                 raise ParseError(f"unexpected token in term: {kind!r}")
-            saw_factor = True
             i += 1
-            if i < len(toks) and toks[i][0] == "*":
-                i += 1
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("empty term")
+            if toks[i][0] != "*":
+                break
+            i += 1
         terms.append((coeff, powers))
     return terms
-
-
-def _monomial_key(expo: tuple):
-    # graded lexicographic, descending
-    return (-sum(expo), tuple(-e for e in expo))
 
 
 def format_terms(terms: dict, names: tuple) -> str:
@@ -565,7 +545,7 @@ def format_terms(terms: dict, names: tuple) -> str:
         return "0"
     order = [0] + sorted(range(1, len(names)), key=lambda i: names[i])
     pieces = []
-    for expo in sorted(terms, key=_monomial_key):
+    for expo in sorted(terms, key=_glex_key):
         c = terms[expo]
         factors = [f"{names[i]}^{expo[i]}" if expo[i] > 1 else names[i]
                    for i in order if expo[i]]

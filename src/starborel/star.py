@@ -105,11 +105,12 @@ def star(f: FormalSeries, g: FormalSeries, kind: StarKind = STANDARD) -> FormalS
 
 
 def moyal_commutator(f: FormalSeries, g: FormalSeries) -> FormalSeries:
-    """[f, g]_M = (f ⋆_M g - g ⋆_M f) / t; its t^0 part is the Poisson bracket."""
+    """[f, g]_M = (f ⋆_M g - g ⋆_M f) / t; its t^0 part is the Poisson bracket.
+    The result's t-cap is one below the operands', so a t-cap of 0 raises."""
     c = moyal_star(f, g) - moyal_star(g, f)
     if any(e[0] == 0 for e in c.terms):
         raise StarBorelError("Moyal commutator not divisible by t")
-    trunc = Truncation(max(c.trunc.deg_t - 1, 0), c.trunc.deg_xy)
+    trunc = Truncation(c.trunc.deg_t - 1, c.trunc.deg_xy)
     return c._new(trunc, {(e[0] - 1,) + e[1:]: v for e, v in c.terms.items()})
 
 

@@ -17,14 +17,14 @@ from .star import StarKind, STANDARD, _exp_pairing, star, transition_T
 
 def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
     """beta: t^n -> xi^n / n!, coefficientwise."""
-    fact = [factorial(n) for n in range(f.trunc.deg_t + 1)]
+    fact = [factorial(n) for n in range(f.degree(f.vars.distinguished) + 1)]
     return f._new(f.trunc, {e: Fraction(c.numerator, c.denominator * fact[e[0]])
                             for e, c in f.terms.items()}, f.vars.renamed_distinguished(new_name))
 
 
 def inverse_borel(fhat: FormalSeries) -> FormalSeries:
     """beta^{-1}: xi^n -> n! t^n, coefficientwise."""
-    fact = [factorial(n) for n in range(fhat.trunc.deg_t + 1)]
+    fact = [factorial(n) for n in range(fhat.degree(fhat.vars.distinguished) + 1)]
     return fhat._new(fhat.trunc, {e: c * fact[e[0]] for e, c in fhat.terms.items()},
                      fhat.vars.renamed_distinguished("t"))
 
@@ -48,7 +48,7 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
     vars = fhat.vars
     if vars.dof != 1:
         raise VariableMismatchError("closed formula is stated for dof 1")
-    q, p = vars.q_name(1), vars.p_name(1)
+    (q, p), = vars.phase_pairs()
     trunc = fhat.trunc.meet(ghat.trunc)
     acc = {}
     rest = (0,) * (len(vars.names) - 1)

@@ -4,12 +4,15 @@ average or of a contour residue.
 
 These evaluators are deliberately independent of the conjugation-based
 definitions in :mod:`starborel.borel`; they serve as cross-check oracles.
-Everything is computed over the rationals.  Each integrand is a product of
-f and g at arguments shifted by formal symbols (e^{+-i theta} on a circle,
-z^{+-1} on a contour).  Both factors are Taylor-expanded in their shifts, and
-the angular average or the residue keeps exactly the terms whose symbols
-cancel: the pairing of equal multi-indices of the two expansions.  The
-simplex integral and its xi-derivatives are one closed-form termwise map.
+Everything is computed over the rationals, by one builder at every dof from
+pairing triples (a, b, w) per pair (q_j, p_j).  Each integrand is a product
+of f and g at arguments shifted by formal symbols (e^{+-i theta} on a circle,
+z^{+-1} on a contour): f by the symbol in a, g by w e_k over it in b.  Both
+factors are Taylor-expanded in their shifts, and the average or the residue
+keeps exactly the terms whose symbols cancel: the pairing of equal
+multi-indices of the two expansions (for T, with no g, of f's orders in the
+a's with its own in the b's).  The simplex integral and its xi-derivatives
+are one closed-form termwise map.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from math import factorial, prod
 
 from .errors import VariableMismatchError
 from .series import FormalSeries, Truncation, VariableSet
+
+_HALF = Fraction(1, 2)
 
 # -- shared wiring ---------------------------------------------------------
 
@@ -46,16 +51,6 @@ def _pair(fx: dict, gx: dict, zero: FormalSeries) -> FormalSeries:
     return sum((h * gx[a] for a, h in fx.items() if a in gx), zero)
 
 
-def _extended_ring(base: VariableSet, extra, out: Truncation):
-    """Ring with helper variables appended, windowed at cap = deg_t + deg_xy of
-    the output window ``out``: every step keeps or raises the joint degree a
-    term contributes to the output and the Dirichlet map preserves it, so a
-    term the window drops could never reach the output.  The xi cap is cap
-    too, as inputs are clipped while xi is still their distinguished name."""
-    cap = out.deg_t + out.deg_xy
-    return VariableSet(base.names + tuple(extra), dof=base.dof), Truncation(cap, cap)
-
-
 def _dirichlet(h: FormalSeries, helpers, vars: VariableSet, trunc: Truncation) -> FormalSeries:
     """d^n/dxi^n of the integral of h (free of xi) over the simplex 0 <= sum of
     the n helpers <= xi, re-homed to ``vars`` on ``trunc``.  By Dirichlet's
@@ -71,33 +66,48 @@ def _dirichlet(h: FormalSeries, helpers, vars: VariableSet, trunc: Truncation) -
     return FormalSeries(vars, trunc, terms)
 
 
+def _represent(per_dof, f: FormalSeries, g: FormalSeries = None) -> FormalSeries:
+    """The representation of the pairings ``per_dof(q_j, p_j)`` on f and g, or
+    on f alone, with helpers _ef, _eg (the factors' xi) and one e_k per pairing.
+    The ring extended by them is windowed at cap = deg_t + deg_xy of the output:
+    every step keeps or raises the joint degree a term contributes to the output
+    and the Dirichlet map preserves it, so a term the window drops could never
+    reach the output.  The xi cap is cap too, as inputs are clipped while xi is
+    still their distinguished name."""
+    if g is not None:
+        f._check_compatible(g)
+    pairings = [e for q, p in f.vars.phase_pairs() for e in per_dof(q, p)]
+    out = f.trunc if g is None else f.trunc.meet(g.trunc)
+    es = tuple(f"_e{k}" for k in range(1, len(pairings) + 1))
+    helpers = ("_ef", "_eg")[:1 if g is None else 2] + es
+    cap = out.deg_t + out.deg_xy
+    vars, trunc = VariableSet(f.vars.names + helpers, dof=f.vars.dof), Truncation(cap, cap)
+    zero = FormalSeries.zero(vars, trunc)
+    shifts = [(b, FormalSeries.variable(vars, trunc, e).scale(w))
+              for (_, b, w), e in zip(pairings, es)]
+    fx = _taylor(f.rename_distinguished("_ef").truncate(trunc).rehome(vars),
+                 [(a, 1) for a, _, _ in pairings])
+    if g is None:
+        paired = sum((_taylor(h, shifts).get(a, zero) for a, h in fx.items()), zero)
+    else:
+        gbig = g.rename_distinguished("_eg").truncate(trunc).rehome(vars)
+        paired = _pair(fx, _taylor(gbig, shifts), zero)
+    return _dirichlet(paired, helpers, f.vars, out)
+
+
 # -- the representations ---------------------------------------------------
 
 def eval_formulahigh(fhat: FormalSeries, ghat: FormalSeries, r: int = None) -> FormalSeries:
     """Standard Borel star at r degrees of freedom via the nested-integral
-    circle-average representation:
-    d^{r+2}/dxi^{r+2} of the (r+2)-fold simplex integral of the r-fold
-    angular average of
-    fhat(e_{r+1}, q, p + sqrt(e_j) e^{-i theta_j})
-    ghat(e_{r+2}, q + sqrt(e_j) e^{i theta_j}, p).
-    Mode 0 pairs equal orders a_j in p_j and q_j, whose factor
+    circle-average representation: d^{r+2}/dxi^{r+2} of the (r+2)-fold simplex
+    integral of the r-fold angular average of fhat(_ef, q_j, p_j + sqrt(e_j)
+    e^{-i theta_j}) ghat(_eg, q_j + sqrt(e_j) e^{i theta_j}, p_j), the pairings
+    (p_j, q_j, 1).  Mode 0 pairs equal orders in p_j and q_j, whose factor
     sqrt(e_j)^{2 a_j} = e_j^{a_j} is put whole on g's side.
     """
-    fhat._check_compatible(ghat)
-    base = fhat.vars
-    r = base.dof if r is None else r
-    if r != base.dof or r < 1:
-        raise VariableMismatchError(f"variable set has dof {base.dof}, asked for {r}")
-    helpers = [f"_e{j}" for j in range(1, r + 3)]
-    out = fhat.trunc.meet(ghat.trunc)
-    vars, trunc = _extended_ring(base, helpers, out)
-    # f's xi goes to e_{r+1}, g's to e_{r+2}
-    fbig = fhat.rename_distinguished(helpers[r]).truncate(trunc).rehome(vars)
-    gbig = ghat.rename_distinguished(helpers[r + 1]).truncate(trunc).rehome(vars)
-    fx = _taylor(fbig, [(base.p_name(j), 1) for j in range(1, r + 1)])
-    gx = _taylor(gbig, [(base.q_name(j), FormalSeries.variable(vars, trunc, helpers[j - 1]))
-                        for j in range(1, r + 1)])
-    return _dirichlet(_pair(fx, gx, FormalSeries.zero(vars, trunc)), helpers, base, out)
+    if r is not None and r != fhat.vars.dof:
+        raise VariableMismatchError(f"variable set has dof {fhat.vars.dof}, asked for {r}")
+    return _represent(lambda q, p: [(p, q, 1)], fhat, ghat)
 
 
 def eval_borel_star_rep(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
@@ -109,46 +119,21 @@ def eval_borel_star_rep(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
 
 
 def eval_moyal_rep(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
-    """Moyal Borel star at one degree of freedom:
-    d^4/dxi^4 of four nested integrals of a double contour extraction of
-    fhat(e_1, q+z_1, p+z_2) ghat(e_2, q + e_4/(2 z_2), p - e_3/(2 z_1))
-    against the measure dz_1 dz_2 / (2 pi i z_1)(2 pi i z_2).
+    """Moyal Borel star at r degrees of freedom: d^{2r+2}/dxi^{2r+2} of 2r + 2
+    nested integrals of the contour extraction, against dz_j dw_j / (2 pi i z_j)(2 pi i w_j), of
+    fhat(_ef, q_j + z_j, p_j + w_j) ghat(_eg, q_j + e_{2j}/(2 w_j), p_j - e_{2j-1}/(2 z_j)):
+    the pairings (q_j, p_j, -1/2) and (p_j, q_j, 1/2).
     """
-    fhat._check_compatible(ghat)
-    base = fhat.vars
-    if base.dof != 1:
-        raise VariableMismatchError("this representation is stated for dof 1")
-    q, p = base.q_name(1), base.p_name(1)
-    helpers = ["_e1", "_e2", "_e3", "_e4"]
-    out = fhat.trunc.meet(ghat.trunc)
-    vars, trunc = _extended_ring(base, helpers, out)
-    e3, e4 = (FormalSeries.variable(vars, trunc, n) for n in helpers[2:])
-    fbig = fhat.rename_distinguished("_e1").truncate(trunc).rehome(vars)
-    gbig = ghat.rename_distinguished("_e2").truncate(trunc).rehome(vars)
-    # the residues keep z_1^0 z_2^0: f's orders (a, b) in (q, p) meet g's (a, b) in (p, q)
-    fx = _taylor(fbig, [(q, 1), (p, 1)])
-    gx = _taylor(gbig, [(p, e3 * Fraction(-1, 2)), (q, e4 * Fraction(1, 2))])
-    return _dirichlet(_pair(fx, gx, FormalSeries.zero(vars, trunc)), helpers, base, out)
+    return _represent(lambda q, p: [(q, p, -_HALF), (p, q, _HALF)], fhat, ghat)
 
 
 def eval_That_rep(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
-    """Borel transition operator at one degree of freedom:
-    d^2/dxi^2 of the integral over the simplex e_0 + e_1 <= xi of the z^{-1}
-    coefficient of fhat(e_0, q+z, p -+ e_1/(2z)) / z: one d/dxi of it is the
-    integral over e_1 in (0, xi) of the residue at e_0 = xi - e_1.
-    """
-    base = fhat.vars
-    if base.dof != 1:
-        raise VariableMismatchError("this representation is stated for dof 1")
-    helpers = ["_e0", "_e1"]
-    vars, trunc = _extended_ring(base, helpers, fhat.trunc)
-    e1 = FormalSeries.variable(vars, trunc, "_e1")
-    fbig = fhat.rename_distinguished("_e0").truncate(trunc).rehome(vars)
-    # the residue keeps z^0: equal orders in q and in p
-    fx = _taylor(fbig, [(base.q_name(1), 1),
-                        (base.p_name(1), e1 * Fraction(1 if inverse else -1, 2))])
-    res = sum((h for (n, m), h in fx.items() if n == m), FormalSeries.zero(vars, trunc))
-    return _dirichlet(res, helpers, base, fhat.trunc)
+    """Borel transition operator at r degrees of freedom: d^{r+1}/dxi^{r+1} of
+    the integral over the simplex _ef + sum_j e_j <= xi of the z_j^{-1}
+    coefficients of fhat(_ef, q_j + z_j, p_j -+ e_j/(2 z_j)) / z_j, the pairings
+    (q_j, p_j, -+1/2) on fhat alone.  At r = 1 one d/dxi of it is the integral
+    over e_1 in (0, xi) of the residue at _ef = xi - e_1."""
+    return _represent(lambda q, p: [(q, p, _HALF if inverse else -_HALF)], fhat)
 
 
 def hadamard_contour(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:

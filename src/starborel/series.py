@@ -96,6 +96,12 @@ class VariableSet:
     def p_name(self, j: int) -> str:
         return "p" if self.dof == 1 else f"p{j}"
 
+    def phase_pairs(self) -> list:
+        """The canonical pairs (q_j, p_j), j = 1..dof."""
+        if self.dof < 1:
+            raise VariableMismatchError("needs a phase space with dof >= 1")
+        return [(self.q_name(j), self.p_name(j)) for j in range(1, self.dof + 1)]
+
     def renamed_distinguished(self, name: str) -> "VariableSet":
         if name in self.names[1:]:
             raise VariableMismatchError(f"{name!r} already present in {self.names}")

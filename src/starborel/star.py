@@ -45,31 +45,27 @@ STANDARD = StarKind("standard")
 MOYAL = StarKind("moyal")
 
 
-def _phase_pairs(vars):
-    if vars.dof < 1:
-        raise VariableMismatchError("star products need a phase space with dof >= 1")
-    return [(vars.q_name(j), vars.p_name(j)) for j in range(1, vars.dof + 1)]
-
-
 def _dof_pairings(f: FormalSeries, g: FormalSeries, per_dof) -> list:
     """The pairings ``per_dof(q_j, p_j)`` of every dof j, once f and g are compatible."""
     f._check_compatible(g)
-    return [e for q, p in _phase_pairs(f.vars) for e in per_dof(q, p)]
+    return [e for q, p in f.vars.phase_pairs() for e in per_dof(q, p)]
 
 
 def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings) -> FormalSeries:
     """exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) (f ⊗ g) on the common window of two
-    compatible series, t distinguished, for the ``pairings`` (a_e, b_e, w_e).
-    Depth first in ints: f, g scaled by the lcm sf, sg of their denominators,
-    W_e = D·w_e for D the lcm of the weights', and order k ≤ K (the t-cap)
-    adding k!/∏n_e!·∏W_e^(n_e) times K!/k!·D^(K-k): one division per term, by sf·sg·K!·D^K."""
+    compatible series, t distinguished, for ``pairings`` (a_e, b_e, w_e) that each
+    name a derivative: every order differentiates f or g, so the orders k stop at
+    K = min(t-cap, f's xy-degree + g's xy-degree).  Depth first in ints: f, g scaled
+    by the lcm sf, sg of their denominators, W_e = D·w_e for D the lcm of the weights',
+    order k adding k!/∏n_e!·∏W_e^(n_e) times K!/k!·D^(K-k): one division per term, by sf·sg·K!·D^K."""
     trunc = f.trunc.meet(g.trunc)
     cap, dxy = trunc.deg_t, trunc.deg_xy
     (sf, F), (sg, G) = _scaled(f), _scaled(g)
+    top = min(cap, sum(max((sum(e) - e[0] for e in h), default=0) for h in (F, G)))
     D = lcm(*(w.denominator for _, _, w in pairings))
     pairs = [([f.vars.index(n) for n in a], [f.vars.index(n) for n in b],
               w.numerator * (D // w.denominator)) for a, b, w in pairings]
-    scale = [factorial(cap) // factorial(k) * D ** (cap - k) for k in range(cap + 1)]
+    scale = [factorial(top) // factorial(k) * D ** (top - k) for k in range(top + 1)]
     acc = {}
 
     def walk(i, df, dg, k, coef):
@@ -118,7 +114,7 @@ def poisson_bracket(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     """{f, g} = Σ_j ∂_p_j f ∂_q_j g - ∂_q_j f ∂_p_j g."""
     f._check_compatible(g)
     out = FormalSeries.zero(f.vars, f.trunc.meet(g.trunc))
-    for q, p in _phase_pairs(f.vars):
+    for q, p in f.vars.phase_pairs():
         out = out + f.diff(p, shrink_window=False) * g.diff(q, shrink_window=False)
         out = out - f.diff(q, shrink_window=False) * g.diff(p, shrink_window=False)
     return out
@@ -126,5 +122,5 @@ def poisson_bracket(f: FormalSeries, g: FormalSeries) -> FormalSeries:
 
 def transition_T(f: FormalSeries, inverse: bool = False) -> FormalSeries:
     """T^{±1} f = exp(∓(t/2) Σ_j ∂_{q_j}∂_{p_j}) f, exact on the window."""
-    pairings = [((q, p), (), _HALF if inverse else -_HALF) for q, p in _phase_pairs(f.vars)]
+    pairings = [((q, p), (), _HALF if inverse else -_HALF) for q, p in f.vars.phase_pairs()]
     return _exp_pairing(f, FormalSeries.one(f.vars, f.trunc), pairings)

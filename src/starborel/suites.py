@@ -98,12 +98,9 @@ def examples_suite() -> tuple:
     V3 = VariableSet.phase_space(3)
     T3 = Truncation(4, 4)
     ccr = True
-    for i in range(1, 4):
-        for j in range(1, 4):
-            pi = FormalSeries.variable(V3, T3, V3.p_name(i))
-            qj = FormalSeries.variable(V3, T3, V3.q_name(j))
-            pj = FormalSeries.variable(V3, T3, V3.p_name(j))
-            qi = FormalSeries.variable(V3, T3, V3.q_name(i))
+    pairs = [[FormalSeries.variable(V3, T3, n) for n in pair] for pair in V3.phase_pairs()]
+    for i, (qi, pi) in enumerate(pairs):
+        for j, (qj, pj) in enumerate(pairs):
             want = FormalSeries.one(V3, T3) if i == j else FormalSeries.zero(V3, T3)
             ccr &= moyal_commutator(pi, qj) == want
             ccr &= moyal_commutator(pi, pj).is_zero

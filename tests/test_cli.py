@@ -57,6 +57,15 @@ class TestProducts:
         assert code == 0
         assert out.strip() == "z1*z2 + xi"
 
+    @pytest.mark.parametrize("argv, want", [
+        (("star", "p", "q"), "p*q + t"),
+        (("borel", "t^3*p"), "1/6*xi^3*p"),
+    ])
+    def test_a_huge_t_cap_costs_what_the_data_needs(self, capsys, argv, want):
+        code, out, _ = run(capsys, *argv, "--trunc-t", str(10**20))
+        assert code == 0
+        assert out.strip() == want
+
 
 class TestPolynomial:
     def test_simple_poly(self, capsys):

@@ -10,6 +10,7 @@ from starborel import (
     STANDARD,
     FormalSeries,
     Truncation,
+    VariableMismatchError,
     VariableSet,
     borel_T,
     borel_star,
@@ -92,6 +93,26 @@ class TestThatRep:
         rng = random.Random(55)
         f = rand_poly(rng, B1, T1)
         assert eval_That_rep(eval_That_rep(f), inverse=True) == f
+
+
+class TestDofChecks:
+    @pytest.mark.parametrize("rep", [
+        eval_formulahigh, eval_borel_star_rep, eval_moyal_rep,
+        lambda f, g: eval_That_rep(f), lambda f, g: eval_That_rep(f, inverse=True)])
+    def test_every_evaluator_needs_a_phase_space(self, rep):
+        z = FormalSeries.variable(VariableSet(("xi", "z")), T1, "z")
+        with pytest.raises(VariableMismatchError):
+            rep(z, z)
+
+    def test_borel_star_rep_is_stated_for_one_dof(self):
+        f = FormalSeries.variable(B2, T2, "p1")
+        with pytest.raises(VariableMismatchError):
+            eval_borel_star_rep(f, f)
+
+    def test_formulahigh_checks_the_asked_dof(self):
+        f = FormalSeries.variable(B1, T1, "p")
+        with pytest.raises(VariableMismatchError):
+            eval_formulahigh(f, f, r=2)
 
 
 class TestHadamardContour:

@@ -20,6 +20,7 @@ from starborel import (
 
 B1 = VariableSet.phase_space(1, "xi")
 B2 = VariableSet.phase_space(2, "xi")
+B3 = VariableSet.phase_space(3, "xi")
 COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -63,3 +64,21 @@ def test_transition_rep_is_conjugation(f, inverse):
 @given(windowed_poly(B2), windowed_poly(B2))
 def test_formulahigh_two_dof_is_conjugation(f, g):
     assert_same(eval_formulahigh(f, g), borel_star(f, g, STANDARD))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(windowed_poly(B2), windowed_poly(B2))
+def test_moyal_rep_two_dof_is_conjugation(f, g):
+    assert_same(eval_moyal_rep(f, g), borel_star(f, g, MOYAL))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(windowed_poly(B2), st.booleans())
+def test_transition_rep_two_dof_is_conjugation(f, inverse):
+    assert_same(eval_That_rep(f, inverse=inverse), borel_T(f, inverse=inverse))
+
+
+@settings(PROPERTY, max_examples=20)
+@given(windowed_poly(B3), windowed_poly(B3))
+def test_moyal_rep_three_dof_is_conjugation(f, g):
+    assert_same(eval_moyal_rep(f, g), borel_star(f, g, MOYAL))

@@ -1,7 +1,8 @@
 """Each convention of the series ring lives in one place: the graded-lex key,
-the token pass closed by a sentinel, the window clip of equality and the
-slicing of substitution.  Checked against references computed here from
-plain term dicts, and on the grammar's whole alphabet."""
+the token pass closed by a sentinel, the window clip of equality, the
+slicing of substitution and the phase-space pairs (q_j, p_j).  Checked
+against references computed here from plain term dicts, and on the
+grammar's whole alphabet."""
 
 from fractions import Fraction
 from math import factorial
@@ -191,3 +192,12 @@ def test_commutator_needs_a_positive_t_window():
         moyal_commutator(p, q)
     p, q = (FormalSeries.from_string(s, vars, Truncation(1, 8)) for s in "pq")
     assert str(moyal_commutator(p, q)) == "1"
+
+
+# -- the phase-space pairs ---------------------------------------------------
+
+def test_phase_pairs_are_the_canonical_pairs():
+    assert PHASE[0].phase_pairs() == [("q", "p")]
+    assert PHASE[1].phase_pairs() == [("q1", "p1"), ("q2", "p2")]
+    with pytest.raises(VariableMismatchError):
+        ZVARS.phase_pairs()

@@ -33,6 +33,16 @@ def test_integral_imports_no_definitions_it_checks():
         f"integral.py imports {sorted(package)}"
 
 
+def test_only_the_series_ring_names_the_phase_pairs():
+    """The names (q_j, p_j) are spelled in ``series.VariableSet`` only;
+    every other module reads them from ``VariableSet.phase_pairs()``."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "series.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in ("q_name", "p_name")]
+    assert not found, f"q_name or p_name called at {found}"
+
+
 def test_star_oracles_do_not_call_the_kernel():
     """The closed Borel formula and the Poisson bracket cross-check the star
     kernel, so neither may reach it through any of its entry points."""

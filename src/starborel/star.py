@@ -12,6 +12,7 @@ rational weight.  Per degree of freedom (q, p) the pairings are
 the unit series for T^{±1}; ``borel.odot_ij`` is (∂_i ∂_j ⊗ 1, 1) on F
 lifted to t-degree 0.  The sums stop at the t-cap or where a derivative
 vanishes, so polynomial inputs come out exact; truncated inputs need a padded window.
+The Moyal commutator is the odd orders of one pass: [f, g]_M = (2/t) Σ_{k odd} (t/2)^k/k! Π^k(f, g).
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ def _dof_pairings(f: FormalSeries, g: FormalSeries, per_dof) -> list:
     return [e for q, p in f.vars.phase_pairs() for e in per_dof(q, p)]
 
 
-def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings) -> FormalSeries:
+def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False) -> FormalSeries:
     """exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) (f ⊗ g) on the common window of two
     compatible series, t distinguished, for ``pairings`` (a_e, b_e, w_e) that each
     name a derivative: every order differentiates f or g, so the orders k stop at
     K = min(t-cap, f's xy-degree + g's xy-degree).  Depth first in ints: f, g scaled
     by the lcm sf, sg of their denominators, W_e = D·w_e for D the lcm of the weights',
-    order k adding k!/∏n_e!·∏W_e^(n_e) times K!/k!·D^(K-k): one division per term, by sf·sg·K!·D^K."""
+    order k adding k!/∏n_e!·∏W_e^(n_e) times K!/k!·D^(K-k): one division per term, by sf·sg·K!·D^K.
+    With ``odd`` set, only the odd orders k are kept: the even leaves skip their products."""
     trunc = f.trunc.meet(g.trunc)
     cap, dxy = trunc.deg_t, trunc.deg_xy
     (sf, F), (sg, G) = _scaled(f), _scaled(g)
@@ -78,8 +80,9 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings) -> FormalSeries:
                 coef = coef * W * (k + n) // n
             return
         # the leaf: t^k ∂^a f ∂^b g on the window, times its coefficient
-        c = coef * scale[k]
-        _window_product(acc, {(e[0] + k,) + e[1:]: c * v for e, v in df.items()}, dg, cap, dxy)
+        if k % 2 or not odd:
+            c = coef * scale[k]
+            _window_product(acc, {(e[0] + k,) + e[1:]: c * v for e, v in df.items()}, dg, cap, dxy)
 
     walk(0, F, G, 0, 1)
     den = sf * sg * scale[0]
@@ -92,7 +95,7 @@ def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
 
 
 def moyal_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
-    """f ⋆_M g = exp((t/2) Σ_j (∂_{p_j} ⊗ ∂_{q_j} - ∂_{q_j} ⊗ ∂_{p_j})) (f ⊗ g)."""
+    """f ⋆_M g = exp((t/2) Π) (f ⊗ g) for Π = Σ_j ∂_{p_j} ⊗ ∂_{q_j} - ∂_{q_j} ⊗ ∂_{p_j}."""
     return _exp_pairing(f, g, _dof_pairings(f, g, _PAIRINGS["moyal"]))
 
 
@@ -101,13 +104,13 @@ def star(f: FormalSeries, g: FormalSeries, kind: StarKind = STANDARD) -> FormalS
 
 
 def moyal_commutator(f: FormalSeries, g: FormalSeries) -> FormalSeries:
-    """[f, g]_M = (f ⋆_M g - g ⋆_M f) / t; its t^0 part is the Poisson bracket.
-    The result's t-cap is one below the operands', so a t-cap of 0 raises."""
-    c = moyal_star(f, g) - moyal_star(g, f)
+    """[f, g]_M = (f ⋆_M g - g ⋆_M f) / t = (2/t) Σ_{k odd} (t/2)^k/k! Π^k(f, g), Π antisymmetric:
+    one kernel pass.  Its t^0 part is the Poisson bracket; its t-cap is one less, so 0 raises."""
+    c = _exp_pairing(f, g, _dof_pairings(f, g, _PAIRINGS["moyal"]), odd=True)
     if any(e[0] == 0 for e in c.terms):
         raise StarBorelError("Moyal commutator not divisible by t")
     trunc = Truncation(c.trunc.deg_t - 1, c.trunc.deg_xy)
-    return c._new(trunc, {(e[0] - 1,) + e[1:]: v for e, v in c.terms.items()})
+    return c._new(trunc, {(e[0] - 1,) + e[1:]: 2 * v for e, v in c.terms.items()})
 
 
 def poisson_bracket(f: FormalSeries, g: FormalSeries) -> FormalSeries:

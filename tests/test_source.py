@@ -152,3 +152,16 @@ def test_no_function_is_defined_in_two_modules():
                 where.setdefault(top.name, []).append(path.name)
     twice = {name: files for name, files in where.items() if len(files) > 1}
     assert not twice, f"functions defined in more than one module: {twice}"
+
+
+def test_the_commutator_is_one_kernel_pass():
+    """``moyal_commutator`` takes the odd orders of one ``_exp_pairing`` pass;
+    it calls no full product, whose second call would double the work."""
+    body, = [node for node in ast.parse((SRC / "star.py").read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name == "moyal_commutator"]
+    used = [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(body) if isinstance(node, (ast.Name, ast.Attribute))]
+    passes = used.count("_exp_pairing")
+    assert passes == 1, f"moyal_commutator references _exp_pairing {passes} times"
+    products = {"moyal_star", "standard_star", "star"} & set(used)
+    assert not products, f"moyal_commutator references {sorted(products)}"

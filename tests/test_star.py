@@ -11,6 +11,7 @@ from starborel import (
     MOYAL,
     STANDARD,
     FormalSeries,
+    StarBorelError,
     StarKind,
     Truncation,
     VariableMismatchError,
@@ -184,21 +185,22 @@ def test_commutator_checks_divisibility_by_t(monkeypatch):
     from starborel import StarBorelError
 
     star_mod = import_module("starborel.star")  # the package binds the name to star()
-    # a "product" that leaves f - g, with its t^0 terms, in the commutator
-    monkeypatch.setattr(star_mod, "moyal_star", lambda f, g: f)
+    # a kernel pass that leaves f, with its t^0 terms, in the commutator
+    monkeypatch.setattr(star_mod, "_exp_pairing", lambda f, g, pairings, **kw: f)
     with pytest.raises(StarBorelError, match="not divisible by t"):
         moyal_commutator(S("p"), S("q"))
 
 
 # -- the kernel against a slow Fraction reference ------------------------------
 
-def reference_pairing(f, g, pairings):
+def reference_pairing(f, g, pairings, odd=False):
     """sum over multi-indices n of prod_e w_e^(n_e) / n_e! * t^|n| *
-    d^(a.n) f * d^(b.n) g, clipped to the common window, in Fractions."""
+    d^(a.n) f * d^(b.n) g, clipped to the common window, in Fractions;
+    with ``odd``, over the n of odd |n| only."""
     trunc = f.trunc.meet(g.trunc)
     want = {}
     for ns in product(range(trunc.deg_t + 1), repeat=len(pairings)):
-        if sum(ns) > trunc.deg_t:
+        if sum(ns) > trunc.deg_t or (odd and sum(ns) % 2 == 0):
             continue
         df, dg = f, g
         for (a, b, _), n in zip(pairings, ns):
@@ -221,8 +223,8 @@ def typed(terms):
     return {e: (c, type(c)) for e, c in terms.items()}
 
 
-def assert_matches(out, f, g, pairings):
-    trunc, want = reference_pairing(f, g, pairings)
+def assert_matches(out, f, g, pairings, odd=False):
+    trunc, want = reference_pairing(f, g, pairings, odd)
     assert out.vars == f.vars
     assert out.trunc == trunc
     assert typed(out.terms) == typed(want)
@@ -248,9 +250,9 @@ def windowed(draw, vars, trunc):
 
 
 @st.composite
-def operand_pairs(draw):
-    """(f, g) at dof 1-2; windows with caps 0-8, shared or apart."""
-    vars = VariableSet.phase_space(draw(st.integers(1, 2)))
+def operand_pairs(draw, max_dof=2):
+    """(f, g) at dof 1 to ``max_dof``; windows with caps 0-8, shared or apart."""
+    vars = VariableSet.phase_space(draw(st.integers(1, max_dof)))
     tf = Truncation(draw(st.integers(0, 8)), draw(st.integers(0, 8)))
     tg = draw(st.sampled_from([tf, Truncation(draw(st.integers(0, 8)), draw(st.integers(0, 8)))]))
     return draw(windowed(vars, tf)), draw(windowed(vars, tg))
@@ -299,3 +301,49 @@ def test_kernel_matches_the_reference_for_other_weights(case, per_dof, unit):
         g = FormalSeries.one(f.vars, g.trunc)
     pairings = phase_pairings(f.vars, per_dof)
     assert_matches(star_mod._exp_pairing(f, g, pairings), f, g, pairings)
+
+
+# the standard and Moyal pairings, then the weights above
+KERNEL_WEIGHTS = [lambda q, p: [((p,), (q,), 1)],
+                  lambda q, p: [((p,), (q,), HALF), ((q,), (p,), -HALF)], *ODD_WEIGHTS]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(operand_pairs(), st.sampled_from(KERNEL_WEIGHTS), st.booleans())
+def test_odd_kernel_matches_the_reference(case, per_dof, unit):
+    f, g = case
+    if unit:
+        g = FormalSeries.one(f.vars, g.trunc)
+    pairings = phase_pairings(f.vars, per_dof)
+    assert_matches(star_mod._exp_pairing(f, g, pairings, odd=True), f, g, pairings, odd=True)
+
+
+def commutator_by_definition(f, g):
+    """(f ⋆_M g - g ⋆_M f) / t from two full products, on the window
+    (deg_t - 1, deg_xy); raises if the difference has t^0 terms."""
+    c = moyal_star(f, g) - moyal_star(g, f)
+    if any(e[0] == 0 for e in c.terms):
+        raise StarBorelError("Moyal commutator not divisible by t")
+    trunc = Truncation(c.trunc.deg_t - 1, c.trunc.deg_xy)
+    return FormalSeries(c.vars, trunc, {(e[0] - 1,) + e[1:]: v for e, v in c.terms.items()})
+
+
+def outcome(fn, f, g):
+    """fn(f, g), or the class and message of the StarBorelError it raises."""
+    try:
+        return fn(f, g)
+    except StarBorelError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(operand_pairs(max_dof=3))
+def test_commutator_is_the_two_product_difference(case):
+    f, g = case
+    got, want = outcome(moyal_commutator, f, g), outcome(commutator_by_definition, f, g)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.vars == want.vars and got.trunc == want.trunc
+    assert typed(got.terms) == typed(want.terms)
+    assert moyal_commutator(g, f) == -got

@@ -3,10 +3,13 @@ fraction field of the non-distinguished variables, content/primitive splits,
 square-free ("simple") decomposition in one variable, Sylvester resultants
 and discriminants.
 
-The gcd is one chain: ``rational_content`` (the positive gcd of all
-coefficients), ``_content_in`` (the gcd of the coefficients in one variable)
-and ``_prs`` (the primitive remainder sequence in that variable), which
-``mp_gcd``, ``content_primitive``, ``gcd_over_fraction_field`` and ``is_simple`` share.
+The gcd is one chain, ``mp_gcd``, which ``gcd_over_fraction_field`` and
+``is_simple`` call.  It tries the heuristic gcd ``_heu_gcd`` first (integer
+evaluation, the gcd of the images, a lift proven by exact division) and falls
+back to the proven path: ``rational_content`` (the positive gcd of all
+coefficients), ``_content_in`` (the gcd of the coefficients in one variable,
+which ``content_primitive`` also uses) and ``_prs`` (the primitive remainder
+sequence in that variable).
 
 Polynomials share their ring code with the windowed series in
 :mod:`starborel.series` but have no window: arithmetic never drops terms.
@@ -15,12 +18,13 @@ Polynomials share their ring code with the windowed series in
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd as int_gcd, lcm as int_lcm
+from math import gcd as int_gcd, isqrt, lcm as int_lcm
 from operator import add, sub
 
 from .errors import DegenerateError, NotSimpleError, VariableMismatchError
-from .series import SparseTerms, VariableSet, _glex_key
+from .series import SparseTerms, VariableSet, _glex_key, _glex_leading
 
 
 class MultiPoly(SparseTerms):
@@ -108,17 +112,27 @@ def _split_content(P: MultiPoly):
 
 
 def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """Exact division by repeated graded-lex leading-term cancellation.  The
-    remainder's exponents wait in a heap in graded-lex order: one is pushed
-    when it enters the remainder, and popped ones that have left it are
-    skipped."""
+    """Exact division; ``DegenerateError`` when B is zero or does not divide A."""
     A._check_compatible(B)
     if B.is_zero:
         raise DegenerateError("division by zero polynomial")
-    eb, cb = B.leading()
-    rest = [(e, c) for e, c in B.terms.items() if e != eb]
+    quot = _divide(A.terms, B.terms)
+    if quot is None:
+        raise DegenerateError("division is not exact")
+    return A._new(None, quot)
+
+
+def _divide(a: dict, b: dict):
+    """Quotient of the term dict a by the nonzero term dict b, or None when
+    the division is not exact: repeated graded-lex leading-term cancellation.
+    The remainder's exponents wait in a heap in graded-lex order: one is
+    pushed when it enters the remainder, and popped ones that have left it
+    are skipped."""
+    eb = _glex_leading(b)
+    cb = b[eb]
+    rest = [(e, c) for e, c in b.items() if e != eb]
     quot = {}
-    rem = dict(A.terms)
+    rem = dict(a)
     heap = [_glex_key(e) for e in rem]
     heapify(heap)
     while heap:
@@ -128,7 +142,7 @@ def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
             continue
         eq = tuple(map(sub, ea, eb))
         if min(eq) < 0:
-            raise DegenerateError("division is not exact")
+            return None
         # the leading exponent falls strictly, so each eq is new
         cq = quot[eq] = ca // cb if ca.__class__ is cb.__class__ is int and not ca % cb \
             else Fraction(ca, cb)
@@ -143,24 +157,84 @@ def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
                 del rem[e]
             else:
                 rem[e] = v - d
-    return A._new(None, quot)
+    return quot
 
 
 def mp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     """Gcd in Z[vars] scaled back to Q: includes the shared rational content,
-    normalized with positive leading coefficient.  Splits off the contents in
-    the first variable either operand mentions, recursing on them, and runs
-    the remainder sequence on the primitive parts."""
+    normalized with positive leading coefficient.  The heuristic gcd runs on
+    the integer primitive parts first; when it fails, the contents in the
+    first variable either operand mentions are split off, recursing on them,
+    and the remainder sequence runs on the primitive parts."""
     A._check_compatible(B)
     if A.is_zero or B.is_zero:
         g = B if A.is_zero else A
     elif A.total_degree() == 0 or B.total_degree() == 0:
         return MultiPoly.constant(A.vars, rational_content(A, B))
     else:
-        var = next(n for n in A.vars.names if A.degree(n) > 0 or B.degree(n) > 0)
-        ca, cb = _content_in(A, var), _content_in(B, var)
-        g = mp_gcd(ca, cb) * _prs(mp_divexact(A, ca), mp_divexact(B, cb), var)
+        h = _heu_gcd(_split_content(A)[1].terms, _split_content(B)[1].terms)
+        if h is not None:
+            g = A._new(None, h).scale(rational_content(A, B))
+        else:
+            var = next(n for n in A.vars.names if A.degree(n) > 0 or B.degree(n) > 0)
+            ca, cb = _content_in(A, var), _content_in(B, var)
+            g = mp_gcd(ca, cb) * _prs(mp_divexact(A, ca), mp_divexact(B, cb), var)
     return g if g.is_zero or g.leading()[1] > 0 else -g
+
+
+def _heu_gcd(a: dict, b: dict):
+    """Gcd in Z[vars] of two nonzero integer term dicts, up to sign, by GCDHEU
+    (Char, Geddes & Gonnet, J. Symbolic Comput. 1989); None when six values
+    of xi fail.  The first variable either mentions is put to the integer
+    xi >= 2 min(|a|, |b|) + 2 (max norms of the primitive parts), the gcd of
+    the images is taken by recursion and lifted back as xi-adic digits in
+    (-xi/2, xi/2].  By the paper's theorem the primitive part of the lift is
+    the gcd when it divides both primitive parts, which exact division proves."""
+    ca, cb = reduce(int_gcd, a.values()), reduce(int_gcd, b.values())
+    c = int_gcd(ca, cb)
+    n = len(next(iter(a)))
+    i = next((i for i in range(n) if any(e[i] for e in a) or any(e[i] for e in b)), None)
+    if i is None:
+        return {(0,) * n: c}
+    a = {e: v // ca for e, v in a.items()}
+    b = {e: v // cb for e, v in b.items()}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    for _ in range(6):
+        ia, ib = _put(a, i, xi), _put(b, i, xi)
+        if ia and ib:
+            g = _heu_gcd(ia, ib)
+            if g is None:
+                return None
+            lift = {}
+            for e, v in g.items():
+                k = 0
+                while v:
+                    d = v % xi
+                    if d > xi // 2:
+                        d -= xi
+                    if d:
+                        lift[e[:i] + (k,) + e[i + 1:]] = d
+                    v = (v - d) // xi
+                    k += 1
+            cl = reduce(int_gcd, lift.values())
+            h = {e: v // cl for e, v in lift.items()}
+            if _divide(a, h) is not None and _divide(b, h) is not None:
+                return {e: c * v for e, v in h.items()}
+        # the growth factor of Char, Geddes & Gonnet, about 2.73 xi^(1/4), in ints
+        xi = xi * isqrt(isqrt(xi)) * 73794 // 27011
+    return None
+
+
+def _put(terms: dict, i: int, x: int) -> dict:
+    """The integer term dict with variable i put to the int x; zero sums are dropped."""
+    powers = [1]
+    for _ in range(max(e[i] for e in terms)):
+        powers.append(powers[-1] * x)
+    out = {}
+    for e, c in terms.items():
+        key = e[:i] + (0,) + e[i + 1:]
+        out[key] = out.get(key, 0) + c * powers[e[i]]
+    return {e: c for e, c in out.items() if c}
 
 
 def _content_in(P: MultiPoly, var: str) -> MultiPoly:
@@ -215,14 +289,13 @@ def gcd_over_fraction_field(P: UniOverPoly, Q: UniOverPoly) -> UniOverPoly:
     denominator-cleared and primitive."""
     if P.var != Q.var:
         raise VariableMismatchError(f"distinguished variables differ: {P.var} vs {Q.var}")
-    # contents are units of F[var]: the sequence ends on an F-associate of the
-    # gcd whatever they are, and its primitive part is unique
-    return content_primitive(UniOverPoly(P.var, _prs(P.poly, Q.poly, P.var)))[1]
+    # Gauss: the Z[vars] gcd is the gcd of the contents times the F[var] gcd
+    return content_primitive(UniOverPoly(P.var, mp_gcd(P.poly, Q.poly)))[1]
 
 
 def is_simple(P: UniOverPoly) -> bool:
     """Square-free in the distinguished variable over the fraction field."""
-    return P.degree == 0 or _prs(P.poly, P.diff().poly, P.var).degree(P.var) == 0
+    return P.degree == 0 or mp_gcd(P.poly, P.diff().poly).degree(P.var) == 0
 
 
 def simple_decompose(P: UniOverPoly) -> UniOverPoly:

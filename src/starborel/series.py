@@ -131,6 +131,13 @@ def _glex_key(e):
     return -sum(e), tuple(map(neg, e)), e
 
 
+def _glex_leading(terms) -> tuple:
+    """The graded-lex leading exponent of a nonzero term dict.  The key is
+    built only for the terms of top total degree."""
+    top = max(map(sum, terms))
+    return min((e for e in terms if sum(e) == top), key=_glex_key)
+
+
 def _window_product(acc: dict, left: dict, right: dict, dt: int, dxy: int) -> dict:
     """acc += left * right over term dicts, keeping only the products whose
     distinguished degree is at most dt and whose other degree is at most dxy."""
@@ -273,7 +280,7 @@ class SparseTerms:
         """(multi-index, coefficient) of the graded-lex leading term."""
         if self.is_zero:
             raise DegenerateError("zero polynomial has no leading term")
-        key = min(self.terms, key=_glex_key)
+        key = _glex_leading(self.terms)
         return key, self.terms[key]
 
     def univariate_coeffs(self, name: str) -> list:

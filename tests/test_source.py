@@ -165,3 +165,13 @@ def test_the_commutator_is_one_kernel_pass():
     assert passes == 1, f"moyal_commutator references _exp_pairing {passes} times"
     products = {"moyal_star", "standard_star", "star"} & set(used)
     assert not products, f"moyal_commutator references {sorted(products)}"
+
+
+def test_one_division_loop_in_the_polynomial_layer():
+    """Exact division is one heap loop: ``mp_divexact`` and the heuristic
+    gcd's proof both call it, so one function of poly.py calls ``heappush``."""
+    callers = [node.name for node in ast.walk(ast.parse((SRC / "poly.py").read_text()))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "heappush"
+                       for call in ast.walk(node))]
+    assert callers == ["_divide"], f"heappush called in {callers}"

@@ -4,66 +4,48 @@ average or of a contour residue.
 
 These evaluators are deliberately independent of the conjugation-based
 definitions in :mod:`starborel.borel`; they serve as cross-check oracles.
-Everything is computed over the rationals, by one builder at every dof from
-pairing triples (a, b, w) per pair (q_j, p_j).  Each integrand is a product
-of f and g at arguments shifted by formal symbols (e^{+-i theta} on a circle,
-z^{+-1} on a contour): f by the symbol in a, g by w e_k over it in b.  Both
-factors are Taylor-expanded in their shifts, and the average or the residue
-keeps exactly the terms whose symbols cancel: the pairing of equal
-multi-indices of the two expansions (for T, with no g, of f's orders in the
-a's with its own in the b's).  The simplex integral and its xi-derivatives
-are one closed-form termwise map.
+One builder serves every dof, from pairing triples (a, b, w) per pair
+(q_j, p_j).  Each integrand is a product of f and g at arguments shifted by
+formal symbols (e^{+-i theta} on a circle, z^{+-1} on a contour): f by the
+symbol in a, g by w e_k over it in b.  Both factors are Taylor-expanded in
+their shifts, and the average or the residue keeps exactly the terms whose
+symbols cancel: the pairing of equal multi-indices of the two expansions
+(for T, with no g, of f's orders in the a's with its own in the b's).  The
+simplex integral and its xi-derivatives are one closed-form termwise map.
+All of it runs on int term dicts, with one division per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import VariableMismatchError
-from .series import FormalSeries, Truncation, VariableSet
+from .series import FormalSeries, Truncation, VariableSet, _derive, _scaled, _window_product
 
 _HALF = Fraction(1, 2)
 
 # -- shared wiring ---------------------------------------------------------
 
 
-def _taylor(f: FormalSeries, shifts) -> dict:
-    """Taylor coefficients of f(.., v + c_v s_v, ..) in formal symbols s_v,
-    for ``shifts`` a list of (v, c_v) with c_v a rational or a series free
-    of v: multi-index a -> prod_v c_v^{a_v} / a_v! * d^a f.  Each order is
-    taken from the previous one, up to the first vanishing derivative."""
-    out = {(): f}
-    for v, c in shifts:
-        nxt = {}
-        for a, h in out.items():
-            n = 0
-            while not h.is_zero:
-                nxt[a + (n,)] = h
-                n += 1
-                h = h.diff(v, shrink_window=False) * (c * Fraction(1, n))
-        out = nxt
-    return out
-
-
-def _pair(fx: dict, gx: dict, zero: FormalSeries) -> FormalSeries:
-    """sum_a fx[a] * gx[a] over the multi-indices both expansions hold."""
-    return sum((h * gx[a] for a, h in fx.items() if a in gx), zero)
-
-
-def _dirichlet(h: FormalSeries, helpers, vars: VariableSet, trunc: Truncation) -> FormalSeries:
-    """d^n/dxi^n of the integral of h (free of xi) over the simplex 0 <= sum of
-    the n helpers <= xi, re-homed to ``vars`` on ``trunc``.  By Dirichlet's
-    formula the integral of prod e_j^{a_j} is prod a_j! / (|a| + n)! xi^{|a| + n},
-    so each term prod e_j^{a_j} m(q, p) maps to prod a_j! / |a|! xi^{|a|} m(q, p)."""
+def _dirichlet(h: FormalSeries, helpers, vars: VariableSet, trunc: Truncation,
+               den: int = 1) -> FormalSeries:
+    """d^n/dxi^n of the integral of h / den (h free of xi) over the simplex
+    0 <= sum of the n helpers <= xi, re-homed to ``vars`` on ``trunc``.  By
+    Dirichlet's formula the integral of prod e_j^{a_j} is prod a_j! / (|a| + n)!
+    xi^{|a| + n}, so each term prod e_j^{a_j} m(q, p) maps to prod a_j! / |a|!
+    xi^{|a|} m(q, p): in ints, c prod a_j! summed per output term, then divided
+    by h's scale times den times |a|!."""
+    s, terms = _scaled(h)
     idx = [h.vars.index(n) for n in helpers]
     keep = [h.vars.index(n) for n in vars.names[1:]]
-    terms = {}
-    for e, c in h.terms.items():
+    acc = {}
+    for e, c in terms.items():
         a = [e[i] for i in idx]
         key = (sum(a),) + tuple(e[i] for i in keep)
-        terms[key] = terms.get(key, 0) + Fraction(c * prod(map(factorial, a)), factorial(sum(a)))
-    return FormalSeries(vars, trunc, terms)
+        acc[key] = acc.get(key, 0) + c * prod(map(factorial, a))
+    return h._new(trunc, {e: Fraction(c, d) if c % (d := s * den * factorial(e[0])) else c // d
+                          for e, c in acc.items()}, vars)
 
 
 def _represent(per_dof, f: FormalSeries, g: FormalSeries = None) -> FormalSeries:
@@ -73,7 +55,10 @@ def _represent(per_dof, f: FormalSeries, g: FormalSeries = None) -> FormalSeries
     every step keeps or raises the joint degree a term contributes to the output
     and the Dirichlet map preserves it, so a term the window drops could never
     reach the output.  The xi cap is cap too, as inputs are clipped while xi is
-    still their distinguished name."""
+    still their distinguished name.  In ints, depth first over the multi-indices
+    a: the order a of f is d_a^a f, that of g is e^a d_b^a g (for T, with no g,
+    d_b^a d_a^a f against e^a), and the weight w^a/a!^2 is W^a D^(cap-|a|)
+    (cap!/a!)^2 over D^cap cap!^2, for W = D w, D the weights' denominators' lcm."""
     if g is not None:
         f._check_compatible(g)
     pairings = [e for q, p in f.vars.phase_pairs() for e in per_dof(q, p)]
@@ -82,17 +67,33 @@ def _represent(per_dof, f: FormalSeries, g: FormalSeries = None) -> FormalSeries
     helpers = ("_ef", "_eg")[:1 if g is None else 2] + es
     cap = out.deg_t + out.deg_xy
     vars, trunc = VariableSet(f.vars.names + helpers, dof=f.vars.dof), Truncation(cap, cap)
-    zero = FormalSeries.zero(vars, trunc)
-    shifts = [(b, FormalSeries.variable(vars, trunc, e).scale(w))
-              for (_, b, w), e in zip(pairings, es)]
-    fx = _taylor(f.rename_distinguished("_ef").truncate(trunc).rehome(vars),
-                 [(a, 1) for a, _, _ in pairings])
-    if g is None:
-        paired = sum((_taylor(h, shifts).get(a, zero) for a, h in fx.items()), zero)
-    else:
-        gbig = g.rename_distinguished("_eg").truncate(trunc).rehome(vars)
-        paired = _pair(fx, _taylor(gbig, shifts), zero)
-    return _dirichlet(paired, helpers, f.vars, out)
+    sf, F = _scaled(f.rename_distinguished("_ef").truncate(trunc).rehome(vars))
+    sg, G = (1, {(0,) * len(vars.names): 1}) if g is None else \
+        _scaled(g.rename_distinguished("_eg").truncate(trunc).rehome(vars))
+    D = lcm(*(w.denominator for _, _, w in pairings))
+    steps = []  # (f's derivatives, g's, e_k, W) per pairing
+    for (a, b, w), e in zip(pairings, es):
+        a, b = vars.index(a), vars.index(b)
+        sides = ((a, b), ()) if g is None else ((a,), (b,))
+        steps.append((*sides, vars.index(e), w.numerator * (D // w.denominator)))
+    acc = {}
+
+    def walk(k, dF, dG, coef):
+        if k == len(steps):
+            _window_product(acc, {e: coef * v for e, v in dF.items()}, dG, cap, cap)
+            return
+        left, right, i, W = steps[k]
+        n = 0
+        while dF and dG:
+            walk(k + 1, dF, dG, coef)
+            n += 1
+            coef = coef * W // (D * n * n)  # exact while d_a^a f is nonzero, as then |a| <= cap
+            dF = _derive(dF, left)
+            dG = {e[:i] + (e[i] + 1,) + e[i + 1:]: v for e, v in _derive(dG, right).items()}
+
+    den = D ** cap * factorial(cap) ** 2
+    walk(0, F, G, den)
+    return _dirichlet(f._new(trunc, acc, vars), helpers, f.vars, out, sf * sg * den)
 
 
 # -- the representations ---------------------------------------------------
@@ -139,11 +140,16 @@ def eval_That_rep(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
 def hadamard_contour(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:
     """Hadamard product as a contour integral: the z^{-1} coefficient of
     phi(z) psi(xi/z) / z, extracted termwise: phi's xi^k slice pairs with
-    xi^k times psi's."""
+    xi^k times psi's.  In ints, one division per output term."""
     phi._check_compatible(psi)
-    vars, trunc = phi.vars, phi.trunc.meet(psi.trunc)
-    xi = vars.distinguished
-    phix = dict(enumerate(phi.truncate(trunc).univariate_coeffs(xi)))
-    psix = {k: b * FormalSeries.variable(vars, trunc, xi, power=k)
-            for k, b in enumerate(psi.truncate(trunc).univariate_coeffs(xi))}
-    return _pair(phix, psix, FormalSeries.zero(vars, trunc))
+    trunc = phi.trunc.meet(psi.trunc)
+    (s1, P), (s2, Q) = _scaled(phi.truncate(trunc)), _scaled(psi.truncate(trunc))
+    slices = {}
+    for e, c in P.items():
+        slices.setdefault(e[0], ({}, {}))[0][(0,) + e[1:]] = c
+    for e, c in Q.items():
+        slices.setdefault(e[0], ({}, {}))[1][e] = c
+    acc, den = {}, s1 * s2
+    for left, right in slices.values():
+        _window_product(acc, left, right, trunc.deg_t, trunc.deg_xy)
+    return phi._new(trunc, {e: Fraction(c, den) if c % den else c // den for e, c in acc.items()})

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import AliasingError, DegenerateError, OnVarietyError, VariableMismatchError
 from .locus import Variety
 from .series import FormalSeries, as_rat
@@ -81,6 +79,8 @@ def locus_distance_xi(V: Variety, point: dict) -> float:
     The origin is excluded exactly: the germs under study are regular at 0 by
     construction, so a {xi = 0} sheet never bounds the principal disc.
     Leaves are scaled by a power of two first, so no scale moves a root."""
+    import numpy as np  # on first use: importing the package does not load numpy
+
     free = [n for n in V.vars.names if n not in point]
     if len(free) != 1:
         raise DegenerateError(f"expected exactly one unbound variable, got {free}")
@@ -129,6 +129,8 @@ def quadrature_hadamard(phi: FormalSeries, psi: FormalSeries, nodes: int) -> lis
     product: c_n = b_n (1/N) sum_j phi(z_j) z_j^-n at z_j = e^{2 pi i j/N},
     two products with the nodes' Vandermonde matrix, for n up to the smaller
     order.  Fewer nodes than the combined degree alias and are rejected."""
+    import numpy as np
+
     phi._check_compatible(psi)
     xi = phi.vars.distinguished
     if any(sum(e) - e[0] for f in (phi, psi) for e in f.terms):

@@ -18,6 +18,7 @@ from starborel import (
     borel,
     borel_star,
     eval_borel_star_rep,
+    eval_formulahigh,
     eval_moyal_rep,
     eval_That_rep,
     hadamard_contour,
@@ -33,6 +34,7 @@ from starborel.poly import product_discriminant
 
 S1 = VariableSet.phase_space(1)
 B1 = VariableSet.phase_space(1, "xi")
+B2 = VariableSet.phase_space(2, "xi")
 V2 = VariableSet(("z1", "z2"), dof=0)
 # integers and proper fractions alike
 COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -61,6 +63,19 @@ def windowed(draw, vars):
     return FormalSeries(vars, trunc, terms)
 
 
+@st.composite
+def windowed_dof2(draw):
+    """Up to five terms in (xi, q1, q2, p1, p2) inside a window with caps 0..5."""
+    trunc = Truncation(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        rest = [0] * 4
+        for _ in range(draw(st.integers(0, trunc.deg_xy))):
+            rest[draw(st.integers(0, 3))] += 1
+        terms[(draw(st.integers(0, trunc.deg_t)), *rest)] = draw(COEFFS)
+    return FormalSeries(B2, trunc, terms)
+
+
 POLY = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), COEFFS,
                        max_size=5).map(lambda t: MultiPoly(V2, t))
 
@@ -81,6 +96,13 @@ def test_borel_plane_and_representations(f, g):
                      borel_star(f, g, STANDARD), borel_star(f, g, MOYAL),
                      eval_borel_star_rep(f, g), eval_moyal_rep(f, g),
                      eval_That_rep(f), hadamard_contour(f, g))
+
+
+@CANONICAL
+@given(windowed_dof2(), windowed_dof2())
+def test_representations_at_two_dof(f, g):
+    assert_canonical(eval_formulahigh(f, g), eval_moyal_rep(f, g),
+                     eval_That_rep(f), eval_That_rep(f, inverse=True))
 
 
 @CANONICAL

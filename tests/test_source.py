@@ -1,6 +1,21 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+from starborel import (
+    FormalSeries,
+    Truncation,
+    VariableSet,
+    eval_borel_star_rep,
+    eval_formulahigh,
+    eval_moyal_rep,
+    eval_That_rep,
+    hadamard_contour,
+)
+from starborel.series import SparseTerms
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "starborel"
@@ -175,3 +190,36 @@ def test_one_division_loop_in_the_polynomial_layer():
                and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "heappush"
                        for call in ast.walk(node))]
     assert callers == ["_divide"], f"heappush called in {callers}"
+
+
+def test_integral_evaluators_run_on_term_dicts(monkeypatch):
+    """The integral representations run in ints on term dicts: none of them
+    falls back to the series ring's product or derivative."""
+    calls = []
+
+    def counted(name):
+        method = getattr(SparseTerms, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for name in ("__mul__", "diff"):
+        monkeypatch.setattr(SparseTerms, name, counted(name))
+    B1 = VariableSet.phase_space(1, "xi")
+    f = FormalSeries.from_string("1/2*xi*p^2 + 3*q*p - 2/3*q^2", B1, Truncation(4, 4))
+    g = FormalSeries.from_string("xi^2*q - 5/4*p^2 + q*p + 1", B1, Truncation(4, 4))
+    results = [eval_borel_star_rep(f, g), eval_formulahigh(f, g), eval_moyal_rep(f, g),
+               eval_That_rep(f), eval_That_rep(f, inverse=True), hadamard_contour(f, g)]
+    assert all(not r.is_zero for r in results)
+    assert not calls, f"series ring calls in the evaluators: {sorted(set(calls))}"
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    """numpy is imported by the float checks that use it, on first use, so
+    start-up (every CLI call) does not pay for it."""
+    code = "import sys, starborel.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"

@@ -23,9 +23,9 @@ from .star import StarKind, star as star_fn, transition_T
 
 def _emit(text: str, as_json: bool):
     if as_json:
-        click.echo(json.dumps({"result": text}))
+        click.echo(json.dumps({"result": text}), file=sys.stdout)
     else:
-        click.echo(text)
+        click.echo(text, file=sys.stdout)
 
 
 def _parse_vars(spec: str) -> VariableSet:
@@ -251,11 +251,11 @@ def verify(suite, seed, as_json):
     else:
         ok, lines = suites.radius_suite(seed)
     if as_json:
-        click.echo(json.dumps({"suite": suite, "ok": ok, "report": lines}))
+        click.echo(json.dumps({"suite": suite, "ok": ok, "report": lines}), file=sys.stdout)
     else:
         for line in lines:
-            click.echo(line)
-        click.echo(f"{suite}: {'OK' if ok else 'FAILED'}")
+            click.echo(line, file=sys.stdout)
+        click.echo(f"{suite}: {'OK' if ok else 'FAILED'}", file=sys.stdout)
     if not ok:
         raise SystemExit(2)
 
@@ -266,10 +266,10 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code or 0
     except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
         return 1
     except StarBorelError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         return 1
     except click.exceptions.Abort:
         return 1

@@ -13,6 +13,17 @@ sequence in that variable).
 
 Polynomials share their ring code with the windowed series in
 :mod:`starborel.series` but have no window: arithmetic never drops terms.
+
+Exact division (``_divide``, the one heap loop) and the Sylvester
+determinant (``_bareiss_det``) run on packed monomials, a format no other
+module sees (Monagan & Pearce, J. Symb. Comput. 2011): an exponent vector is
+one int of n + 1 fields of w bits, the total degree in the top field and
+then the variables in order, each field a value below one guard bit.  A
+product of monomials is an int sum, int order is the graded-lex order of
+``series._glex_key``, and a difference with a guard bit set is a monomial
+that does not divide.  w holds the largest total degree a computation can
+reach: the dividend's for a division, twice the sum of the rows' top total
+degrees for the determinant, whose every entry is a minor or a product of two.
 """
 
 from __future__ import annotations
@@ -21,10 +32,9 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
-from operator import add, sub
 
 from .errors import DegenerateError, NotSimpleError, VariableMismatchError
-from .series import SparseTerms, VariableSet, _glex_key, _glex_leading
+from .series import SparseTerms, VariableSet
 
 
 class MultiPoly(SparseTerms):
@@ -116,43 +126,75 @@ def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     A._check_compatible(B)
     if B.is_zero:
         raise DegenerateError("division by zero polynomial")
-    quot = _divide(A.terms, B.terms)
+    n = len(A.vars.names)
+    w, guards = _packing(n, max(A.total_degree(), B.total_degree()))
+    quot = _divide(_pack(A.terms, w), _pack(B.terms, w), guards)
     if quot is None:
         raise DegenerateError("division is not exact")
-    return A._new(None, quot)
+    return A._new(None, _unpack(quot, n, w))
 
 
-def _divide(a: dict, b: dict):
-    """Quotient of the term dict a by the nonzero term dict b, or None when
-    the division is not exact: repeated graded-lex leading-term cancellation.
-    The remainder's exponents wait in a heap in graded-lex order: one is
+# -- packed monomials: one int per exponent vector (Monagan & Pearce) ---------
+
+def _packing(n: int, top: int):
+    """(w, guards) for n variables and total degrees up to top: each of the
+    n + 1 fields is w bits, the value and one guard bit above it."""
+    w = max(top, 0).bit_length() + 1
+    return w, sum(1 << (w - 1) << (i * w) for i in range(n + 1))
+
+
+def _pack(terms: dict, w: int) -> dict:
+    """The term dict keyed by packed exponents: the total degree in the top
+    field, then the variables in order, so int order is graded-lex order."""
+    out = {}
+    for e, c in terms.items():
+        k = sum(e)
+        for x in e:
+            k = k << w | x
+        out[k] = c
+    return out
+
+
+def _unpack(terms: dict, n: int, w: int) -> dict:
+    """The packed term dict back on exponent tuples."""
+    field = (1 << w) - 1
+    shifts = range((n - 1) * w, -1, -w)
+    return {tuple(k >> s & field for s in shifts): c for k, c in terms.items()}
+
+
+def _divide(a: dict, b: dict, guards: int):
+    """Quotient of the packed term dict a by the nonzero packed term dict b,
+    or None when the division is not exact: repeated graded-lex leading-term
+    cancellation.  The remainder's keys wait, negated, in a heap: one is
     pushed when it enters the remainder, and popped ones that have left it
-    are skipped."""
-    eb = _glex_leading(b)
+    are skipped.  b's leading key has its top total degree, so no key here
+    outgrows a's total degree, and a quotient key with a guard bit set (a
+    borrow out of some field) is a monomial that does not divide."""
+    eb = max(b)
     cb = b[eb]
     rest = [(e, c) for e, c in b.items() if e != eb]
     quot = {}
     rem = dict(a)
-    heap = [_glex_key(e) for e in rem]
+    heap = [-e for e in rem]
     heapify(heap)
     while heap:
-        ea = heappop(heap)[2]
+        ea = -heappop(heap)
         ca = rem.pop(ea, None)
         if ca is None:
             continue
-        eq = tuple(map(sub, ea, eb))
-        if min(eq) < 0:
+        eq = ea - eb
+        if eq & guards:
             return None
-        # the leading exponent falls strictly, so each eq is new
+        # the leading key falls strictly, so each eq is new
         cq = quot[eq] = ca // cb if ca.__class__ is cb.__class__ is int and not ca % cb \
             else Fraction(ca, cb)
         for e2, c2 in rest:
-            e = tuple(map(add, eq, e2))
+            e = eq + e2
             d = cq * c2
             v = rem.get(e)
             if v is None:
                 rem[e] = -d
-                heappush(heap, _glex_key(e))
+                heappush(heap, -e)
             elif v == d:
                 del rem[e]
             else:
@@ -198,6 +240,10 @@ def _heu_gcd(a: dict, b: dict):
         return {(0,) * n: c}
     a = {e: v // ca for e, v in a.items()}
     b = {e: v // cb for e, v in b.items()}
+    # packed once per level for the proofs; a lift of higher degree divides neither
+    top = max(max(map(sum, a)), max(map(sum, b)))
+    w, guards = _packing(n, top)
+    pa, pb = _pack(a, w), _pack(b, w)
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
     for _ in range(6):
         ia, ib = _put(a, i, xi), _put(b, i, xi)
@@ -218,8 +264,10 @@ def _heu_gcd(a: dict, b: dict):
                     k += 1
             cl = reduce(int_gcd, lift.values())
             h = {e: v // cl for e, v in lift.items()}
-            if _divide(a, h) is not None and _divide(b, h) is not None:
-                return {e: c * v for e, v in h.items()}
+            if max(map(sum, h)) <= top:
+                ph = _pack(h, w)
+                if _divide(pa, ph, guards) is not None and _divide(pb, ph, guards) is not None:
+                    return {e: c * v for e, v in h.items()}
         # the growth factor of Char, Geddes & Gonnet, about 2.73 xi^(1/4), in ints
         xi = xi * isqrt(isqrt(xi)) * 73794 // 27011
     return None
@@ -315,30 +363,56 @@ def simple_decompose(P: UniOverPoly) -> UniOverPoly:
 # -- resultants ------------------------------------------------------------
 
 def _bareiss_det(M):
-    """Fraction-free determinant of a square MultiPoly matrix."""
+    """Fraction-free determinant of a square MultiPoly matrix, on packed
+    monomials from start to end.  Every entry is a minor or a product of two
+    minors, so twice the sum of the rows' top total degrees bounds every key."""
     n = len(M)
     if n == 0:
         raise DegenerateError("empty matrix")
-    vars = M[0][0].vars
-    M = [row[:] for row in M]
+    first = M[0][0]
+    nv = len(first.vars.names)
+    w, guards = _packing(nv, 2 * sum(max(P.total_degree() for P in row) for row in M))
+    A = [[_pack(P.terms, w) for P in row] for row in M]
     sign = 1
-    prev = MultiPoly.one(vars)
+    prev = None  # the previous pivot; 1 at the first step, which divides by nothing
     for k in range(n - 1):
-        if M[k][k].is_zero:
+        if not A[k][k]:
             for i in range(k + 1, n):
-                if not M[i][k].is_zero:
-                    M[k], M[i] = M[i], M[k]
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
                     sign = -sign
                     break
             else:
-                return MultiPoly.zero(vars)
-        for i in range(k + 1, n):
+                return first._new(None, {})
+        pivot_row = A[k]
+        piv = pivot_row[k]
+        for row in A[k + 1:]:
+            mik = row[k]
             for j in range(k + 1, n):
-                M[i][j] = mp_divexact(M[k][k] * M[i][j] - M[i][k] * M[k][j], prev)
-            M[i][k] = MultiPoly.zero(vars)
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
+                num = _fms(piv, row[j], mik, pivot_row[j])
+                if prev is not None and num:
+                    num = _divide(num, prev, guards)
+                    if num is None:
+                        raise DegenerateError("division is not exact")
+                row[j] = num
+        prev = piv
+    det = first._new(None, _unpack(A[n - 1][n - 1], nv, w))
     return det if sign > 0 else -det
+
+
+def _fms(p: dict, a: dict, m: dict, b: dict) -> dict:
+    """p·a − m·b over packed term dicts, zero terms dropped; a zero factor
+    skips its product."""
+    out = {}
+    get = out.get
+    for x, y, s in ((p, a, 1), (m, b, -1)):
+        if x and y:
+            for e1, c1 in x.items():
+                c1 *= s
+                for e2, c2 in y.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:

@@ -1,6 +1,10 @@
+import contextlib
+import gc
+import io
 import json
 import re
 import shlex
+import weakref
 from pathlib import Path
 
 import pytest
@@ -223,6 +227,28 @@ class TestErrors:
             code, _, err = run(capsys, "locus", "hadamard1d", "--sf", sf)
             assert code == 1
             assert "error" in err.lower()
+
+
+class TestStreams:
+    @pytest.mark.parametrize("argv, redirect", [
+        (["resultant", "--var", "z1", "--vars", "z1,z2", "z1^2 - z2", "2*z1"],
+         contextlib.redirect_stdout),
+        (["verify", "radius"], contextlib.redirect_stdout),
+        (["star", "t^4/2", "q"], contextlib.redirect_stderr),
+    ], ids=["result", "verify", "error"])
+    def test_a_redirected_stream_is_not_kept_alive(self, argv, redirect):
+        # click caches a wrapper for each implicit stream, and the wrapper
+        # holds the stream: the CLI names its streams, so none is cached
+        refs = []
+        for _ in range(5):
+            buf = io.StringIO()
+            with redirect(buf):
+                main(list(argv))
+            assert buf.getvalue()
+            refs.append(weakref.ref(buf))
+        del buf
+        gc.collect()
+        assert not [ref for ref in refs if ref() is not None]
 
 
 def readme_block(heading, fence):

@@ -1,6 +1,7 @@
 """Property tests: each integral representation equals its Borel-plane
 conjugation, term for term and window for window, on polynomials drawn in
-independently drawn windows; and the int builder equals a reference builder
+independently drawn windows, the two-sided ones with powers p_j^k and q_j^k
+(k >= 2) on both sides; and the int builder equals a reference builder
 in rational arithmetic, coefficient types included."""
 
 from fractions import Fraction
@@ -31,9 +32,9 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def windowed_poly(draw, vars, max_terms=4):
-    """Up to ``max_terms`` terms inside a window whose two caps are drawn from 0..7."""
-    trunc = Truncation(draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+def windowed_poly(draw, vars, max_terms=4, min_cap=0):
+    """Up to ``max_terms`` terms inside a window whose two caps are drawn from min_cap..7."""
+    trunc = Truncation(draw(st.integers(min_cap, 7)), draw(st.integers(min_cap, 7)))
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         rest = [0] * (len(vars.names) - 1)
@@ -41,6 +42,25 @@ def windowed_poly(draw, vars, max_terms=4):
             rest[draw(st.integers(0, len(rest) - 1))] += 1
         terms[(draw(st.integers(0, trunc.deg_t)), *rest)] = draw(COEFFS)
     return FormalSeries(vars, trunc, terms)
+
+
+@st.composite
+def paired_polys(draw, vars):
+    """Two windowed polynomials on caps of at least m >= 2, each with terms
+    p_j^k and q_j^k (2 <= k <= m) for every pair (q_j, p_j): their pairings of
+    order 2 and more land inside the common window, on both sides."""
+    m = draw(st.integers(2, 4))
+    out = []
+    for _ in range(2):
+        f = draw(windowed_poly(vars, min_cap=m))
+        terms = dict(f.terms)
+        for pair in vars.phase_pairs():
+            for name in pair:
+                e = [0] * len(vars.names)
+                e[vars.index(name)] = draw(st.integers(2, m))
+                terms[tuple(e)] = draw(COEFFS.filter(bool))
+        out.append(FormalSeries(vars, f.trunc, terms))
+    return out
 
 
 def assert_same(got, want):
@@ -114,14 +134,16 @@ def assert_same_typed(got, want):
 
 
 @PROPERTY
-@given(windowed_poly(B1), windowed_poly(B1))
-def test_standard_rep_is_conjugation(f, g):
+@given(paired_polys(B1))
+def test_standard_rep_is_conjugation(fg):
+    f, g = fg
     assert_same(eval_borel_star_rep(f, g), borel_star(f, g, STANDARD))
 
 
 @PROPERTY
-@given(windowed_poly(B1), windowed_poly(B1))
-def test_moyal_rep_is_conjugation(f, g):
+@given(paired_polys(B1))
+def test_moyal_rep_is_conjugation(fg):
+    f, g = fg
     assert_same(eval_moyal_rep(f, g), borel_star(f, g, MOYAL))
 
 
@@ -132,14 +154,16 @@ def test_transition_rep_is_conjugation(f, inverse):
 
 
 @settings(PROPERTY, max_examples=40)
-@given(windowed_poly(B2), windowed_poly(B2))
-def test_formulahigh_two_dof_is_conjugation(f, g):
+@given(paired_polys(B2))
+def test_formulahigh_two_dof_is_conjugation(fg):
+    f, g = fg
     assert_same(eval_formulahigh(f, g), borel_star(f, g, STANDARD))
 
 
 @settings(PROPERTY, max_examples=40)
-@given(windowed_poly(B2), windowed_poly(B2))
-def test_moyal_rep_two_dof_is_conjugation(f, g):
+@given(paired_polys(B2))
+def test_moyal_rep_two_dof_is_conjugation(fg):
+    f, g = fg
     assert_same(eval_moyal_rep(f, g), borel_star(f, g, MOYAL))
 
 
@@ -150,8 +174,9 @@ def test_transition_rep_two_dof_is_conjugation(f, inverse):
 
 
 @settings(PROPERTY, max_examples=20)
-@given(windowed_poly(B3), windowed_poly(B3))
-def test_moyal_rep_three_dof_is_conjugation(f, g):
+@given(paired_polys(B3))
+def test_moyal_rep_three_dof_is_conjugation(fg):
+    f, g = fg
     assert_same(eval_moyal_rep(f, g), borel_star(f, g, MOYAL))
 
 

@@ -7,14 +7,18 @@ from pathlib import Path
 
 from starborel import (
     FormalSeries,
+    MultiPoly,
     Truncation,
+    UniOverPoly,
     VariableSet,
     eval_borel_star_rep,
     eval_formulahigh,
     eval_moyal_rep,
     eval_That_rep,
     hadamard_contour,
+    sylvester_resultant,
 )
+from starborel import poly
 from starborel.series import SparseTerms
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,8 +187,9 @@ def test_the_commutator_is_one_kernel_pass():
 
 
 def test_one_division_loop_in_the_polynomial_layer():
-    """Exact division is one heap loop: ``mp_divexact`` and the heuristic
-    gcd's proof both call it, so one function of poly.py calls ``heappush``."""
+    """Exact division is one heap loop: ``mp_divexact``, the heuristic gcd's
+    proof and the Bareiss determinant call it, so one function of poly.py
+    calls ``heappush``."""
     callers = [node.name for node in ast.walk(ast.parse((SRC / "poly.py").read_text()))
                if isinstance(node, ast.FunctionDef)
                and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "heappush"
@@ -214,6 +219,32 @@ def test_integral_evaluators_run_on_term_dicts(monkeypatch):
                eval_That_rep(f), eval_That_rep(f, inverse=True), hadamard_contour(f, g)]
     assert all(not r.is_zero for r in results)
     assert not calls, f"series ring calls in the evaluators: {sorted(set(calls))}"
+
+
+def test_the_sylvester_determinant_runs_on_packed_monomials(monkeypatch):
+    """``sylvester_resultant`` packs its matrix once and eliminates on int
+    keys: neither the series ring's product nor ``mp_divexact`` (which
+    packs per call) is reached.  The case has the odot locus's shape:
+    z^2 P(z1 + z, z2 + xi/z) for P of degree 2, cubic in z, and its z-derivative."""
+    ring = VariableSet(("z1", "z2", "z3", "xi", "z"))
+    z1, z2, z3, xi, z = (MultiPoly.variable(ring, n) for n in ring.names)
+    a, b = z1 + z, z2 * z + xi  # z1 + z and z (z2 + xi/z)
+    Q = b * b * 3 + a * z3 * z * z * 2 - a * z * z + b * z3 * z * 4 + z3 * z * z - z * z * 5
+    dQ = Q.diff("z")
+    assert (Q.degree("z"), dQ.degree("z")) == (3, 2)  # a 5x5 Sylvester matrix
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SparseTerms, "__mul__", counted("__mul__", SparseTerms.__mul__))
+    monkeypatch.setattr(poly, "mp_divexact", counted("mp_divexact", poly.mp_divexact))
+    res = sylvester_resultant(UniOverPoly("z", Q), UniOverPoly("z", dQ))
+    assert not res.is_zero
+    assert not calls, f"the elimination called {sorted(set(calls))}"
 
 
 def test_importing_the_cli_does_not_load_numpy():

@@ -12,7 +12,7 @@ their shifts, and the average or the residue keeps exactly the terms whose
 symbols cancel: the pairing of equal multi-indices of the two expansions
 (for T, with no g, of f's orders in the a's with its own in the b's).  The
 simplex integral and its xi-derivatives are one closed-form termwise map.
-All of it runs on int term dicts, with one division per output term.
+All of it runs on int term dicts over one denominator, which ``_new`` divides out.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def _dirichlet(h: FormalSeries, helpers, vars: VariableSet, trunc: Truncation,
     0 <= sum of the n helpers <= xi, re-homed to ``vars`` on ``trunc``.  By
     Dirichlet's formula the integral of prod e_j^{a_j} is prod a_j! / (|a| + n)!
     xi^{|a| + n}, so each term prod e_j^{a_j} m(q, p) maps to prod a_j! / |a|!
-    xi^{|a|} m(q, p): in ints, c prod a_j! summed per output term, then divided
-    by h's scale times den times |a|!."""
+    xi^{|a|} m(q, p): in ints, c prod a_j! summed per output term, times m!/|a|!
+    over h's scale times den times m!, for m the largest |a| kept."""
     s, terms = _scaled(h)
     idx = [h.vars.index(n) for n in helpers]
     keep = [h.vars.index(n) for n in vars.names[1:]]
@@ -44,8 +44,10 @@ def _dirichlet(h: FormalSeries, helpers, vars: VariableSet, trunc: Truncation,
         a = [e[i] for i in idx]
         key = (sum(a),) + tuple(e[i] for i in keep)
         acc[key] = acc.get(key, 0) + c * prod(map(factorial, a))
-    return h._new(trunc, {e: Fraction(c, d) if c % (d := s * den * factorial(e[0])) else c // d
-                          for e, c in acc.items()}, vars)
+    m = max((e[0] for e in acc if e[0] <= trunc.deg_t), default=0)
+    top = factorial(m)
+    return h._new(trunc, {e: c * (top // factorial(e[0])) for e, c in acc.items() if e[0] <= m},
+                  vars, s * den * top)
 
 
 def _represent(per_dof, f: FormalSeries, g: FormalSeries = None) -> FormalSeries:
@@ -140,16 +142,15 @@ def eval_That_rep(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
 def hadamard_contour(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:
     """Hadamard product as a contour integral: the z^{-1} coefficient of
     phi(z) psi(xi/z) / z, extracted termwise: phi's xi^k slice pairs with
-    xi^k times psi's.  In ints, one division per output term."""
+    xi^k times psi's.  In ints, over one denominator that ``_new`` divides."""
     phi._check_compatible(psi)
     trunc = phi.trunc.meet(psi.trunc)
     (s1, P), (s2, Q) = _scaled(phi.truncate(trunc)), _scaled(psi.truncate(trunc))
-    slices = {}
+    slices, acc = {}, {}
     for e, c in P.items():
         slices.setdefault(e[0], ({}, {}))[0][(0,) + e[1:]] = c
     for e, c in Q.items():
         slices.setdefault(e[0], ({}, {}))[1][e] = c
-    acc, den = {}, s1 * s2
     for left, right in slices.values():
         _window_product(acc, left, right, trunc.deg_t, trunc.deg_xy)
-    return phi._new(trunc, {e: Fraction(c, den) if c % den else c // den for e, c in acc.items()})
+    return phi._new(trunc, acc, None, s1 * s2)

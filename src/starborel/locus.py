@@ -13,7 +13,6 @@ from math import inf, isfinite, prod
 from .errors import (
     DegenerateError,
     NotSimpleError,
-    OnVarietyError,
     VariableMismatchError,
 )
 from .poly import (

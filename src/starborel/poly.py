@@ -6,10 +6,10 @@ and discriminants.
 The gcd is one chain, ``mp_gcd``, which ``gcd_over_fraction_field`` and
 ``is_simple`` call.  It tries the heuristic gcd ``_heu_gcd`` first (integer
 evaluation, the gcd of the images, a lift proven by exact division) and falls
-back to the proven path: ``rational_content`` (the positive gcd of all
-coefficients), ``_content_in`` (the gcd of the coefficients in one variable,
-which ``content_primitive`` also uses) and ``_prs`` (the primitive remainder
-sequence in that variable).
+back to the proven path: ``_split_content`` (the positive rational content,
+split off on the integer terms of ``series._scaled``), ``_content_in`` (the
+gcd of the coefficients in one variable, which ``content_primitive`` also
+uses) and ``_prs`` (the primitive remainder sequence in that variable).
 
 Polynomials share their ring code with the windowed series in
 :mod:`starborel.series` but have no window: arithmetic never drops terms.
@@ -34,7 +34,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
 
 from .errors import DegenerateError, NotSimpleError, VariableMismatchError
-from .series import SparseTerms, VariableSet
+from .series import SparseTerms, VariableSet, _scaled
 
 
 class MultiPoly(SparseTerms):
@@ -103,22 +103,12 @@ class UniOverPoly:
 
 # -- the gcd chain: rational content, content in a variable, remainder sequence
 
-def rational_content(*polys) -> Fraction:
-    """Positive rational r with every coefficient of every P over r an
-    integer, these integers coprime; 1 when all the P are zero."""
-    num = 0
-    den = 1
-    for P in polys:
-        for c in P.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = int_lcm(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(1)
-
-
 def _split_content(P: MultiPoly):
-    """(r, P / r) for r the rational content of P."""
-    r = rational_content(P)
-    return r, P.scale(1 / r)
+    """(r, P / r) for r the content of P: the positive rational that leaves
+    P / r with coprime integer coefficients, 1 when P is zero."""
+    s, terms = _scaled(P)
+    g = reduce(int_gcd, terms.values(), 0) or 1
+    return Fraction(g, s), P._new(None, {e: c // g for e, c in terms.items()})
 
 
 def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
@@ -203,20 +193,23 @@ def _divide(a: dict, b: dict, guards: int):
 
 
 def mp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """Gcd in Z[vars] scaled back to Q: includes the shared rational content,
-    normalized with positive leading coefficient.  The heuristic gcd runs on
-    the integer primitive parts first; when it fails, the contents in the
-    first variable either operand mentions are split off, recursing on them,
-    and the remainder sequence runs on the primitive parts."""
+    """Gcd in Z[vars] scaled back to Q: includes the joint content (the gcd of
+    the contents' numerators over the lcm of their denominators), normalized
+    with positive leading coefficient.  The heuristic gcd runs on the integer
+    primitive parts first; when it fails, the contents in the first variable
+    either operand mentions are split off, recursing on them, and the
+    remainder sequence runs on the primitive parts."""
     A._check_compatible(B)
     if A.is_zero or B.is_zero:
         g = B if A.is_zero else A
-    elif A.total_degree() == 0 or B.total_degree() == 0:
-        return MultiPoly.constant(A.vars, rational_content(A, B))
     else:
-        h = _heu_gcd(_split_content(A)[1].terms, _split_content(B)[1].terms)
+        (ra, pa), (rb, pb) = _split_content(A), _split_content(B)
+        r = Fraction(int_gcd(ra.numerator, rb.numerator), int_lcm(ra.denominator, rb.denominator))
+        if A.total_degree() == 0 or B.total_degree() == 0:
+            return MultiPoly.constant(A.vars, r)
+        h = _heu_gcd(pa.terms, pb.terms)
         if h is not None:
-            g = A._new(None, h).scale(rational_content(A, B))
+            g = A._new(None, h).scale(r)
         else:
             var = next(n for n in A.vars.names if A.degree(n) > 0 or B.degree(n) > 0)
             ca, cb = _content_in(A, var), _content_in(B, var)

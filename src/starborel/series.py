@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from operator import add, neg
 
 from .errors import (
@@ -138,6 +138,11 @@ def _glex_leading(terms) -> tuple:
     return min((e for e in terms if sum(e) == top), key=_glex_key)
 
 
+def _caps(trunc) -> tuple:
+    """(t-cap, xy-cap) of a window; open (inf) without one."""
+    return (inf, inf) if trunc is None else (trunc.deg_t, trunc.deg_xy)
+
+
 def _window_product(acc: dict, left: dict, right: dict, dt: int, dxy: int) -> dict:
     """acc += left * right over term dicts, keeping only the products whose
     distinguished degree is at most dt and whose other degree is at most dxy."""
@@ -198,18 +203,21 @@ class SparseTerms:
                     clean[expo] = c
         self.terms = clean
 
-    def _new(self, trunc, terms: dict, vars: VariableSet = None):
+    def _new(self, trunc, terms: dict, vars: VariableSet = None, den: int = 1):
         """Same class over ``vars`` (default: this one's) from exact rational
-        coefficients, made canonical; zero and out-of-window terms are dropped."""
+        coefficients, made canonical, or from int numerators over ``den`` > 1,
+        divided here; zero and out-of-window terms are dropped."""
         out = object.__new__(type(self))
         out.vars = self.vars if vars is None else vars
         out.trunc = trunc
-        # canonical(c), inlined: every ring operation ends here
-        if trunc is None:
+        dt, dxy = _caps(trunc)
+        if den > 1:  # the one way back from the int kernels
+            out.terms = {e: Fraction(c, den) if c % den else c // den for e, c in terms.items()
+                         if c and e[0] <= dt and sum(e) - e[0] <= dxy}
+        elif trunc is None:  # canonical(c), inlined: every ring operation ends here
             out.terms = {e: c if c.__class__ is int or c.denominator != 1 else c.numerator
                          for e, c in terms.items() if c}
         else:
-            dt, dxy = trunc.deg_t, trunc.deg_xy
             out.terms = {e: c if c.__class__ is int or c.denominator != 1 else c.numerator
                          for e, c in terms.items()
                          if c and e[0] <= dt and sum(e) - e[0] <= dxy}
@@ -338,16 +346,7 @@ class SparseTerms:
             return self.scale(other)
         self._check_compatible(other)
         trunc = self._meet(other)
-        if trunc is not None:
-            return self._new(trunc, _window_product({}, self.terms, other.terms,
-                                                     trunc.deg_t, trunc.deg_xy))
-        terms = {}
-        get = terms.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                terms[e] = get(e, 0) + c1 * c2
-        return self._new(None, terms)
+        return self._new(trunc, _window_product({}, self.terms, other.terms, *_caps(trunc)))
 
     def scale(self, r):
         """r times this, for an exact rational r."""
@@ -412,19 +411,21 @@ class SparseTerms:
             return self
         if self.trunc is not None and self.vars.distinguished in bindings:
             raise BindingError("cannot bind the distinguished variable")
-        return self._new(self.trunc, self._bind(bindings))
+        den, nums = self._bind(bindings)
+        return self._new(self.trunc, nums, None, den)
 
     def evaluate(self, bindings: dict):
         """Exact value at rational bindings of every variable: an int when integral."""
         missing = [n for n in self.vars.names if n not in bindings]
         if missing:
             raise UnknownVariableError(f"missing bindings for {missing}")
-        return sum(self._bind({n: bindings[n] for n in self.vars.names}).values())
+        den, nums = self._bind({n: bindings[n] for n in self.vars.names})
+        return canonical(Fraction(sum(nums.values()), den))
 
-    def _bind(self, bindings: dict) -> dict:
-        """The terms with the rational ``bindings`` put in, summed by the exponents
-        left (bound ones zeroed).  In ints: terms scaled by their denominators' lcm,
-        a value a/d of top degree K as a^k·d^(K-k), one division per result term."""
+    def _bind(self, bindings: dict) -> tuple:
+        """(den, nums): the terms with the rational ``bindings`` put in, summed by the
+        exponents left (bound ones zeroed), as ints over one denominator: terms
+        scaled by their denominators' lcm, a value a/d of top degree K as a^k·d^(K-k)."""
         den, terms = _scaled(self)
         tables = []
         for name, v in bindings.items():
@@ -440,7 +441,7 @@ class SparseTerms:
                 key[i] = 0
             key = tuple(key)
             acc[key] = acc.get(key, 0) + c
-        return {e: Fraction(c, den) if c % den else c // den for e, c in acc.items()}
+        return den, acc
 
     def rehome(self, vars: VariableSet):
         """The same terms over another variable set, which must contain every

@@ -4,9 +4,9 @@ transition operator intertwining them, for N degrees of freedom.
 All three are exponentials of constant-coefficient differential operators,
 evaluated by one kernel: exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) applied to f ⊗ g
 and multiplied out on the common window, in ints (f, g and the weights are
-scaled to integers) with one division per output term.  A pairing
-(a_e, b_e, w_e) names the derivatives taken of f, those taken of g, and a
-rational weight.  Per degree of freedom (q, p) the pairings are
+scaled to integers) over one denominator, which ``_new`` divides out.  A
+pairing (a_e, b_e, w_e) names the derivatives taken of f, those taken of g,
+and a rational weight.  Per degree of freedom (q, p) the pairings are
 (∂_p ⊗ ∂_q, 1) for the standard product, (∂_p ⊗ ∂_q, 1/2) and
 (∂_q ⊗ ∂_p, -1/2) for the Moyal product, and (∂_q ∂_p ⊗ 1, ∓1/2) on f and
 the unit series for T^{±1}; ``borel.odot_ij`` is (∂_i ∂_j ⊗ 1, 1) on F
@@ -58,7 +58,7 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False) -> Forma
     name a derivative: every order differentiates f or g, so the orders k stop at
     K = min(t-cap, f's xy-degree + g's xy-degree).  Depth first in ints: f, g scaled
     by the lcm sf, sg of their denominators, W_e = D·w_e for D the lcm of the weights',
-    order k adding k!/∏n_e!·∏W_e^(n_e) times K!/k!·D^(K-k): one division per term, by sf·sg·K!·D^K.
+    order k adding k!/∏n_e!·∏W_e^(n_e) times K!/k!·D^(K-k), all over sf·sg·K!·D^K, which ``_new`` divides.
     With ``odd`` set, only the odd orders k are kept: the even leaves skip their products."""
     trunc = f.trunc.meet(g.trunc)
     cap, dxy = trunc.deg_t, trunc.deg_xy
@@ -85,8 +85,7 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False) -> Forma
             _window_product(acc, {(e[0] + k,) + e[1:]: c * v for e, v in df.items()}, dg, cap, dxy)
 
     walk(0, F, G, 0, 1)
-    den = sf * sg * scale[0]
-    return f._new(trunc, {e: Fraction(c, den) if c % den else c // den for e, c in acc.items()})
+    return f._new(trunc, acc, None, sf * sg * scale[0])
 
 
 def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:

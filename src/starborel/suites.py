@@ -21,7 +21,7 @@ from .integral import (
 from .locus import Leaf, Variety, conv_locus, hadamard_locus_1d
 from .poly import MultiPoly, UniOverPoly
 from .series import FormalSeries, Truncation, VariableSet
-from .star import MOYAL, STANDARD, moyal_commutator, moyal_star, standard_star, transition_T
+from .star import MOYAL, STANDARD, moyal_commutator, standard_star, transition_T
 from .verify import check_radius_vs_locus, euler_borel_coeffs, logstar_borel_coeffs
 
 DEFAULT_SEED = 20240811

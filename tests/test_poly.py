@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from starborel import (
     simple_decompose,
     sylvester_resultant,
 )
+from starborel import poly
 from starborel.locus import _cleared_family
 from starborel.poly import product_discriminant
 
@@ -368,3 +370,45 @@ class TestFractionFieldGcdContents:
         U = UniOverPoly(var, P)
         want = U.degree == 0 or gcd_over_fraction_field(U, U.diff()).degree == 0
         assert is_simple(U) == want
+
+
+def rational_content(*polys) -> Fraction:
+    """The definition: the gcd of every coefficient's numerator over the lcm of
+    every denominator, 1 when all the polys are zero."""
+    num, den = 0, 1
+    for Q in polys:
+        for c in Q.terms.values():
+            num = math.gcd(num, c.numerator)
+            den = math.lcm(den, c.denominator)
+    return Fraction(num, den) if num else Fraction(1)
+
+
+class TestContentSplit:
+    """``poly._split_content`` against the definition of the rational content."""
+
+    @DIVIDE
+    @given(SPARSE)
+    def test_split_is_the_content_and_an_integer_primitive_part(self, A):
+        r, Q = poly._split_content(A)
+        assert type(r) is Fraction and r > 0
+        assert r == rational_content(A)
+        assert all(type(c) is int for c in Q.terms.values())
+        assert math.gcd(*Q.terms.values()) == (1 if Q.terms else 0)
+        assert Q.scale(r) == A
+        assert Q.terms.keys() == A.terms.keys()
+
+    def test_zero_has_content_one(self):
+        r, Q = poly._split_content(MultiPoly.zero(V3))
+        assert r == 1 and Q.is_zero
+
+    @DIVIDE
+    @given(SPARSE, SPARSE)
+    def test_gcd_carries_the_joint_content(self, A, B):
+        assume(not A.is_zero and not B.is_zero)
+        g = mp_gcd(A, B)
+        assert poly._split_content(g)[0] == rational_content(A, B)
+
+    def test_gcd_of_rational_constants(self):
+        assert mp_gcd(P("3/2"), P("9/4")) == P("3/4")
+        assert mp_gcd(P("3/2"), P("9/4*z1")) == P("3/4")
+        assert mp_gcd(P("9/4*z1"), P("-3/2")) == P("3/4")

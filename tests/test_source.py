@@ -254,3 +254,66 @@ def test_importing_the_cli_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "False"
+
+
+def test_every_imported_name_is_read():
+    """A module-level import that nothing in its module reads is left over from
+    a deletion.  ``__init__.py`` imports to re-export, and ``__future__``
+    imports switch on language features; both are left out."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for top in tree.body:
+            if isinstance(top, ast.ImportFrom) and top.module == "__future__":
+                continue
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.name}:{top.lineno} {a.asname or a.name.split('.')[0]}"
+                           for a in top.names if (a.asname or a.name.split(".")[0]) not in read]
+    assert not unread, f"imported but never read: {unread}"
+
+
+def _owners(path, wanted):
+    """The functions of a module, methods as ``Class.method``, with a node
+    inside them (nested functions count for the one that holds them) that
+    ``wanted`` accepts."""
+    tops = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(top, ast.ClassDef):
+            tops += [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
+        elif isinstance(top, ast.FunctionDef):
+            tops.append((top.name, top))
+    return {f"{path.name}:{name}" for name, body in tops if any(map(wanted, ast.walk(body)))}
+
+
+def _calls(node, name):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_int_numerators_leave_through_new():
+    """The int kernels hand their numerators and their one denominator to
+    ``SparseTerms._new``, which divides: no other function of the series
+    ring, the star kernel or the integral representations builds
+    ``Fraction``s in a comprehension."""
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def builds_fractions(node):
+        return isinstance(node, comprehensions) and any(
+            _calls(inner, "Fraction") for inner in ast.walk(node))
+    found = set().union(*(_owners(SRC / name, builds_fractions)
+                          for name in ("series.py", "star.py", "integral.py")))
+    assert found == {"series.py:SparseTerms._new"}, f"Fraction comprehensions in {sorted(found)}"
+
+
+def test_product_keys_are_built_in_the_window_product_only():
+    """One product loop: ``tuple(map(add, e1, e2))`` exponent keys are built in
+    ``series._window_product`` only, which ``*`` runs with or without a window."""
+
+    def product_key(node):
+        return _calls(node, "tuple") and node.args and _calls(node.args[0], "map") \
+            and getattr(node.args[0].args[0], "id", None) == "add"
+    found = set().union(*(_owners(path, product_key) for path in sorted(SRC.glob("*.py"))))
+    assert found == {"series.py:_window_product"}, f"product keys built in {sorted(found)}"

@@ -149,10 +149,9 @@ def _window_product(acc: dict, left: dict, right: dict, dt: int, dxy: int) -> di
     get = acc.get
     right = [(e2, c2, e2[0], sum(e2) - e2[0]) for e2, c2 in right.items()]
     for e1, c1 in left.items():
-        t1 = e1[0]
-        xy1 = sum(e1) - t1
+        room_t, room_xy = dt - e1[0], dxy - (sum(e1) - e1[0])  # what e1 leaves of the window
         for e2, c2, t2, xy2 in right:
-            if t1 + t2 <= dt and xy1 + xy2 <= dxy:
+            if t2 <= room_t and xy2 <= room_xy:
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
     return acc

@@ -1,9 +1,13 @@
 import contextlib
+import errno
 import gc
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -11,7 +15,8 @@ import pytest
 
 from starborel.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def run(capsys, *argv):
@@ -249,6 +254,84 @@ class TestStreams:
         del buf
         gc.collect()
         assert not [ref for ref in refs if ref() is not None]
+
+
+class TestCommandLine:
+    """The command-line language: how arguments are read, and what each kind
+    of bad command line does."""
+
+    def test_option_values_may_start_with_a_minus(self, capsys):
+        assert run(capsys, "locus", "hadamard1d", "--sf", "-1,2", "--sg", "-1/2") == (0, """\
+intersect {
+  union {
+    cond "origin and products": xi^3 + 1/2*xi^2 - 1/2*xi
+  }
+}
+""", "")
+
+    def test_double_dash_ends_the_options(self, capsys):
+        assert run(capsys, "star", "--", "-t*p", "q") == (0, "-t*p*q - t^2\n", "")
+
+    def test_options_may_follow_the_positionals(self, capsys):
+        assert run(capsys, "star", "p", "q", "--kind", "moyal", "--trunc-t", "6") == (
+            0, "p*q + 1/2*t\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["star", "p", "q", "--bogus"],
+        ["star", "p", "q", "--kind", "bogus"],
+        ["star", "p", "q", "--trunc-t", "x"],
+        ["transition", "--in", "p"],
+        ["locus"],
+        [],
+    ], ids=["unknown-option", "bad-choice", "bad-int", "abbreviation", "no-subcommand",
+            "no-command"])
+    def test_a_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error")
+
+    def test_help(self, capsys):
+        code, out, _ = run(capsys, "star", "--help")
+        assert code == 0
+        assert "Star product of two t-plane series." in out
+
+    def test_an_interrupt_exits_1(self, capsys, monkeypatch):
+        from starborel import cli
+
+        def interrupted():
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli.suites, "examples_suite", interrupted)
+        assert run(capsys, "verify", "examples") == (1, "", "\n")
+
+    def test_a_closed_stdout_exits_1(self, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        monkeypatch.setattr(sys, "stdout", Closed())
+        monkeypatch.setattr(sys, "stderr", sys.stderr)  # restored, if main replaces it
+        code = main(["star", "p", "q"])
+        sys.stdout.close()  # what main put in place of the closed stream
+        assert code == 1
+
+    def test_json_result(self, capsys):
+        code, out, _ = run(capsys, "locus", "conv", "--vars", "z1,z2", "--bar-vars", "z,z2",
+                           "z2*z1 + 1", "z", "--json")
+        assert code == 0
+        assert json.loads(out) == {"result": 'intersect {\n  union {\n'
+                                   '    cond "leading coefficient": z2\n'
+                                   '    cond "discriminant": z2\n'
+                                   '    cond "endpoint": z2*z + 1\n  }\n}'}
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["star", "t*p", "t*q"], 0, "t^2*p*q + t^3\n", ""),
+    (["star", "t^4/2", "q"], 1, "", "error: exponent must be a nonnegative integer\n"),
+], ids=["result", "error"])
+def test_the_module_runs_as_a_program(argv, code, out, err):
+    """``python -m starborel.cli``, through ``sys.exit(main())``."""
+    done = subprocess.run([sys.executable, "-m", "starborel.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 def readme_block(heading, fence):

@@ -256,6 +256,22 @@ def test_importing_the_cli_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_the_cli_loads_no_third_party_package():
+    """The command line runs on the standard library and the package itself;
+    numpy, the one runtime dependency, is loaded by the float checks that use it."""
+    code = ("import sys; before = set(sys.modules); import starborel.cli\n"
+            "for name in sorted(set(sys.modules) - before): print(name.split('.')[0])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    loaded = set(out.stdout.split())
+    assert "starborel" in loaded
+    foreign = loaded - set(sys.stdlib_module_names) - {"starborel"}
+    assert not foreign, f"importing starborel.cli loads {sorted(foreign)}"
+    deps = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(),
+                     re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', deps) == ["numpy"]
+
+
 def test_every_imported_name_is_read():
     """A module-level import that nothing in its module reads is left over from
     a deletion.  ``__init__.py`` imports to re-export, and ``__future__``

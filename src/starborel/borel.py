@@ -80,20 +80,15 @@ def borel_T(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
 
 
 def hadamard(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:
-    """Coefficientwise product: the xi^n coefficients multiply."""
+    """Coefficientwise product on the common window: the xi^n coefficients multiply."""
     phi._check_compatible(psi)
     trunc = phi.trunc.meet(psi.trunc)
-    by_deg = {}
-    for e, c in psi.terms.items():
-        by_deg.setdefault(e[0], {})[e[1:]] = c
+    xi, rest = phi.vars.distinguished, (0,) * (len(phi.vars.names) - 1)
     terms = {}
-    for e, c in phi.terms.items():
-        other = by_deg.get(e[0])
-        if not other:
-            continue
-        for rest, d in other.items():
-            key = (e[0],) + tuple(a + b for a, b in zip(e[1:], rest))
-            terms[key] = terms.get(key, 0) + c * d
+    for n, (a, b) in enumerate(zip(phi.univariate_coeffs(xi), psi.univariate_coeffs(xi))):
+        if a.terms and b.terms:  # the slices' product, then moved to xi^n
+            _window_product(terms, _window_product({}, a.terms, b.terms, 0, trunc.deg_xy),
+                            {(n,) + rest: 1}, trunc.deg_t, trunc.deg_xy)
     return phi._new(trunc, terms)
 
 

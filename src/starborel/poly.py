@@ -34,7 +34,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
 
 from .errors import DegenerateError, NotSimpleError, VariableMismatchError
-from .series import SparseTerms, VariableSet, _scaled
+from .series import SparseTerms, VariableSet, _put, _scaled
 
 
 class MultiPoly(SparseTerms):
@@ -239,7 +239,7 @@ def _heu_gcd(a: dict, b: dict):
     pa, pb = _pack(a, w), _pack(b, w)
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
     for _ in range(6):
-        ia, ib = _put(a, i, xi), _put(b, i, xi)
+        ia, ib = _put(a, {i: xi})[1], _put(b, {i: xi})[1]
         if ia and ib:
             g = _heu_gcd(ia, ib)
             if g is None:
@@ -264,18 +264,6 @@ def _heu_gcd(a: dict, b: dict):
         # the growth factor of Char, Geddes & Gonnet, about 2.73 xi^(1/4), in ints
         xi = xi * isqrt(isqrt(xi)) * 73794 // 27011
     return None
-
-
-def _put(terms: dict, i: int, x: int) -> dict:
-    """The integer term dict with variable i put to the int x; zero sums are dropped."""
-    powers = [1]
-    for _ in range(max(e[i] for e in terms)):
-        powers.append(powers[-1] * x)
-    out = {}
-    for e, c in terms.items():
-        key = e[:i] + (0,) + e[i + 1:]
-        out[key] = out.get(key, 0) + c * powers[e[i]]
-    return {e: c for e, c in out.items() if c}
 
 
 def _content_in(P: MultiPoly, var: str) -> MultiPoly:
@@ -414,6 +402,7 @@ def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
     It runs on integer parts: res(P, Q) = s^n t^m res(P/s, Q/t), s, t the contents."""
     if P.var != Q.var:
         raise VariableMismatchError(f"distinguished variables differ: {P.var} vs {Q.var}")
+    P.poly._check_compatible(Q.poly)
     s, Ps = _split_content(P.poly)
     t, Qt = _split_content(Q.poly)
     p, q = Ps.univariate_coeffs(P.var), Qt.univariate_coeffs(Q.var)

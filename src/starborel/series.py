@@ -116,8 +116,9 @@ class Truncation:
     deg_xy: int
 
     def __post_init__(self):
-        if self.deg_t < 0 or self.deg_xy < 0:
-            raise WindowOverflowError("truncation caps must be nonnegative")
+        deg_t, deg_xy = self.deg_t, self.deg_xy
+        if not (isinstance(deg_t, int) and isinstance(deg_xy, int)) or deg_t < 0 or deg_xy < 0:
+            raise WindowOverflowError(f"truncation caps must be nonnegative ints: {self}")
 
     def admits(self, expo: tuple) -> bool:
         return expo[0] <= self.deg_t and sum(expo[1:]) <= self.deg_xy
@@ -163,6 +164,29 @@ def _scaled(f):
     return s, {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()}
 
 
+def _put(terms: dict, values: dict) -> tuple:
+    """(den, nums): the int term dict with each variable index i put to the
+    rational ``values[i]``, summed by the exponents left (the bound ones
+    zeroed), as ints over one denominator: a value a/d of top degree K enters
+    as a^k·d^(K-k).  Zero sums are dropped."""
+    den, tables = 1, []
+    for i, v in values.items():
+        K = max((e[i] for e in terms), default=0)
+        a, d = v.numerator, v.denominator
+        tables.append((i, [a ** k * d ** (K - k) for k in range(K + 1)]))
+        den *= d ** K
+    acc = {}
+    get = acc.get
+    for e, c in terms.items():
+        key = list(e)
+        for i, table in tables:
+            c *= table[e[i]]
+            key[i] = 0
+        key = tuple(key)
+        acc[key] = get(key, 0) + c
+    return den, {e: c for e, c in acc.items() if c}
+
+
 def _derive(terms: dict, idxs) -> dict:
     """The term dict differentiated once by each variable index in ``idxs``."""
     for i in idxs:
@@ -186,21 +210,18 @@ class SparseTerms:
     def __init__(self, vars: VariableSet, trunc, terms=None):
         self.vars = vars
         self.trunc = trunc
-        clean = {}
-        if terms:
-            n = len(vars.names)
-            for expo, coeff in terms.items():
-                expo = tuple(expo)
-                if len(expo) != n:
-                    raise VariableMismatchError(
-                        f"multi-index {expo} has wrong arity for {vars.names}")
-                if not all(isinstance(k, int) and k >= 0 for k in expo):
-                    raise VariableMismatchError(
-                        f"multi-index {expo} has an exponent that is not a nonnegative int")
-                c = coeff if coeff.__class__ is int else canonical(as_rat(coeff))
-                if c and (trunc is None or trunc.admits(expo)):
-                    clean[expo] = c
-        self.terms = clean
+        n = len(vars.names)
+        exact = {}
+        for expo, coeff in (terms or {}).items():
+            expo = tuple(expo)
+            if len(expo) != n:
+                raise VariableMismatchError(
+                    f"multi-index {expo} has wrong arity for {vars.names}")
+            if not all(isinstance(k, int) and k >= 0 for k in expo):
+                raise VariableMismatchError(
+                    f"multi-index {expo} has an exponent that is not a nonnegative int")
+            exact[expo] = coeff if coeff.__class__ is int else as_rat(coeff)
+        self.terms = self._new(trunc, exact).terms
 
     def _new(self, trunc, terms: dict, vars: VariableSet = None, den: int = 1):
         """Same class over ``vars`` (default: this one's) from exact rational
@@ -410,37 +431,18 @@ class SparseTerms:
             return self
         if self.trunc is not None and self.vars.distinguished in bindings:
             raise BindingError("cannot bind the distinguished variable")
-        den, nums = self._bind(bindings)
-        return self._new(self.trunc, nums, None, den)
+        s, terms = _scaled(self)
+        den, nums = _put(terms, {self.vars.index(n): as_rat(v) for n, v in bindings.items()})
+        return self._new(self.trunc, nums, None, s * den)
 
     def evaluate(self, bindings: dict):
         """Exact value at rational bindings of every variable: an int when integral."""
         missing = [n for n in self.vars.names if n not in bindings]
         if missing:
             raise UnknownVariableError(f"missing bindings for {missing}")
-        den, nums = self._bind({n: bindings[n] for n in self.vars.names})
-        return canonical(Fraction(sum(nums.values()), den))
-
-    def _bind(self, bindings: dict) -> tuple:
-        """(den, nums): the terms with the rational ``bindings`` put in, summed by the
-        exponents left (bound ones zeroed), as ints over one denominator: terms
-        scaled by their denominators' lcm, a value a/d of top degree K as a^k·d^(K-k)."""
-        den, terms = _scaled(self)
-        tables = []
-        for name, v in bindings.items():
-            i, v = self.vars.index(name), as_rat(v)
-            K = max((e[i] for e in terms), default=0)
-            tables.append((i, [v.numerator ** k * v.denominator ** (K - k) for k in range(K + 1)]))
-            den *= v.denominator ** K
-        acc = {}
-        for e, c in terms.items():
-            key = list(e)
-            for i, table in tables:
-                c *= table[e[i]]
-                key[i] = 0
-            key = tuple(key)
-            acc[key] = acc.get(key, 0) + c
-        return den, acc
+        s, terms = _scaled(self)
+        den, nums = _put(terms, {i: as_rat(bindings[n]) for i, n in enumerate(self.vars.names)})
+        return canonical(Fraction(sum(nums.values()), s * den))
 
     def rehome(self, vars: VariableSet):
         """The same terms over another variable set, which must contain every

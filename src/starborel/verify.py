@@ -44,7 +44,10 @@ def radius_estimate(coeffs, method: str = "ratio") -> float:
     Zeros are tested exactly and ratios are rounded only after scaling, so
     only a radius beyond the float range, not a coefficient, raises.
     """
-    vals = [Fraction(c) for c in coeffs]
+    try:
+        vals = [Fraction(c) for c in coeffs]
+    except (ValueError, OverflowError):  # nan, inf, or a string that is no number
+        raise DegenerateError("coefficients must be finite numbers") from None
     nonzero = [k for k, v in enumerate(vals) if v]
     if len(nonzero) < 8:
         raise DegenerateError("need at least 8 nonzero coefficients")
@@ -132,6 +135,8 @@ def quadrature_hadamard(phi: FormalSeries, psi: FormalSeries, nodes: int) -> lis
     import numpy as np
 
     phi._check_compatible(psi)
+    if not isinstance(nodes, int):
+        raise DegenerateError(f"the node count must be an int, got {nodes!r}")
     xi = phi.vars.distinguished
     if any(sum(e) - e[0] for f in (phi, psi) for e in f.terms):
         raise VariableMismatchError("quadrature needs series in xi alone")

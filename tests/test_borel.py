@@ -214,6 +214,37 @@ def test_odot_is_the_weighted_derivative_sum(case):
     assert typed(out.terms) == typed(want)
 
 
+@st.composite
+def hadamard_inputs(draw):
+    """(phi, psi) over the Borel plane at dof 1 or 2, each with up to seven
+    terms of degree 0..4 in every variable and its own window with caps 0..6,
+    so the common window clips in both directions."""
+    vars = draw(st.sampled_from([VariableSet.phase_space(dof, "xi") for dof in (1, 2)]))
+    exps = st.tuples(*[st.integers(0, 4)] * len(vars.names))
+    return tuple(FormalSeries(vars, Truncation(draw(st.integers(0, 6)), draw(st.integers(0, 6))),
+                              draw(st.dictionaries(exps, COEFFS, max_size=7))) for _ in "ab")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hadamard_inputs())
+def test_hadamard_pairs_equal_xi_degrees_on_the_common_window(pair):
+    # terms of equal xi-degree pair up, their other exponents add, and the
+    # products are clipped to the common window
+    phi, psi = pair
+    trunc = phi.trunc.meet(psi.trunc)
+    want = {}
+    for e1, c1 in phi.terms.items():
+        for e2, c2 in psi.terms.items():
+            if e1[0] == e2[0]:
+                e = (e1[0],) + tuple(a + b for a, b in zip(e1[1:], e2[1:]))
+                want[e] = want.get(e, 0) + Fraction(c1) * c2
+    want = {e: c.numerator if c.denominator == 1 else c for e, c in want.items()
+            if c and trunc.admits(e)}
+    out = hadamard(phi, psi)
+    assert out.vars == phi.vars and out.trunc == trunc
+    assert typed(out.terms) == typed(want)
+
+
 def test_borel_of_standard_star_matches_formula_path():
     # both routes from the t-plane to the xi-plane product agree
     rng = random.Random(36)

@@ -242,8 +242,8 @@ class TestStreams:
         (["star", "t^4/2", "q"], contextlib.redirect_stderr),
     ], ids=["result", "verify", "error"])
     def test_a_redirected_stream_is_not_kept_alive(self, argv, redirect):
-        # click caches a wrapper for each implicit stream, and the wrapper
-        # holds the stream: the CLI names its streams, so none is cached
+        # the CLI writes to the streams that are current when it is called
+        # and keeps no reference to one after it returns
         refs = []
         for _ in range(5):
             buf = io.StringIO()

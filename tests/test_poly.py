@@ -11,6 +11,7 @@ from starborel import (
     MultiPoly,
     UniOverPoly,
     UnknownVariableError,
+    VariableMismatchError,
     VariableSet,
     content_primitive,
     discriminant_locus,
@@ -173,6 +174,18 @@ class TestResultant:
     def test_degenerate(self):
         with pytest.raises(DegenerateError):
             sylvester_resultant(U("z2 + 1"), U("z2 - 1"))
+
+    def test_operands_over_different_variable_sets_are_rejected(self):
+        # the Sylvester matrix of z1 - z2 and z1 - z3 lives over (z1, z2, z3),
+        # which neither operand's ring is: no determinant is taken
+        A = U("z1 - z2", vars=VariableSet(("z1", "z2")))
+        B = U("z1 - z3", vars=VariableSet(("z1", "z3")))
+        common = VariableSet(("z1", "z2", "z3"))
+        assert sylvester_resultant(U("z1 - z2", vars=common), U("z1 - z3", vars=common)) \
+            == P("z3 - z2", common)
+        for build in (sylvester_resultant, product_discriminant):
+            with pytest.raises(VariableMismatchError):
+                build(A, B)
 
     @pytest.mark.parametrize("a, b", [
         ("3/2*z1^2 - 2/3*z2", "5/4*z1 - 1/7*z2"),

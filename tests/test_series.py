@@ -13,6 +13,7 @@ from starborel import (
     UnknownVariableError,
     VariableMismatchError,
     VariableSet,
+    WindowOverflowError,
 )
 from starborel.integral import _dirichlet
 
@@ -171,6 +172,11 @@ class TestShape:
 
     def test_truncation_meet(self):
         assert Truncation(3, 5).meet(Truncation(4, 2)) == Truncation(3, 2)
+
+    @pytest.mark.parametrize("caps", [(2.5, 3), ("2", 3), (2, 3.0), (-1, 3)])
+    def test_truncation_caps_are_nonnegative_ints(self, caps):
+        with pytest.raises(WindowOverflowError):
+            Truncation(*caps)
 
     def test_embed_and_drop(self):
         small = VariableSet(("xi", "q", "p"))

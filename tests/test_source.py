@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from starborel import (
     FormalSeries,
     MultiPoly,
@@ -18,7 +20,7 @@ from starborel import (
     hadamard_contour,
     sylvester_resultant,
 )
-from starborel import poly
+from starborel import poly, series
 from starborel.series import SparseTerms
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,12 +164,11 @@ def test_every_private_module_name_is_read():
 
 def test_no_function_is_defined_in_two_modules():
     """One loop per concept: a module-level function name (say ``_derive``)
-    is defined in one module of the package only.  Decorated definitions are
-    left out: the CLI's commands are named after the functions they call."""
+    is defined in one module of the package only."""
     where = {}
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(top, ast.FunctionDef) and not top.decorator_list:
+            if isinstance(top, ast.FunctionDef):
                 where.setdefault(top.name, []).append(path.name)
     twice = {name: files for name, files in where.items() if len(files) > 1}
     assert not twice, f"functions defined in more than one module: {twice}"
@@ -325,11 +326,55 @@ def test_int_numerators_leave_through_new():
 
 
 def test_product_keys_are_built_in_the_window_product_only():
-    """One product loop: ``tuple(map(add, e1, e2))`` exponent keys are built in
-    ``series._window_product`` only, which ``*`` runs with or without a window."""
+    """One product loop: exponent keys summed entrywise, as
+    ``tuple(map(add, e1, e2))`` or ``tuple(a + b for a, b in zip(e1, e2))``,
+    are built in ``series._window_product`` only, which ``*`` runs with or
+    without a window and ``borel.hadamard`` runs on the xi-slices."""
 
     def product_key(node):
-        return _calls(node, "tuple") and node.args and _calls(node.args[0], "map") \
-            and getattr(node.args[0].args[0], "id", None) == "add"
+        if not (_calls(node, "tuple") and node.args):
+            return False
+        arg = node.args[0]
+        if _calls(arg, "map"):
+            return getattr(arg.args[0], "id", None) == "add"
+        return isinstance(arg, (ast.GeneratorExp, ast.ListComp)) \
+            and isinstance(arg.elt, ast.BinOp) and isinstance(arg.elt.op, ast.Add) \
+            and any(_calls(gen.iter, "zip") for gen in arg.generators)
     found = set().union(*(_owners(path, product_key) for path in sorted(SRC.glob("*.py"))))
     assert found == {"series.py:_window_product"}, f"product keys built in {sorted(found)}"
+
+
+def test_one_binding_loop():
+    """Putting rationals in for variables is one loop, ``series._put``: the
+    heuristic gcd's integer evaluation imports it, and ``evaluate`` and
+    ``evaluate_partial`` call it on the scaled terms."""
+    assert poly._put is series._put
+    found = _owners(SRC / "series.py", lambda node: _calls(node, "_put"))
+    assert found == {"series.py:SparseTerms.evaluate", "series.py:SparseTerms.evaluate_partial"}, \
+        f"_put called in {sorted(found)}"
+
+
+def test_the_window_clip_is_new():
+    """``_new`` is the one window clip, which the constructor also runs:
+    only the parser, which raises on a term outside the window instead of
+    dropping it, asks ``Truncation.admits`` in the series ring."""
+
+    def asks_admits(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "admits"
+    found = _owners(SRC / "series.py", asks_admits)
+    assert found == {"series.py:SparseTerms.from_string"}, f"admits called in {sorted(found)}"
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    """The test dependencies may exist for a newer Python only, so the syntax
+    floor that ``requires-python`` declares is checked by parsing: no module
+    may use syntax that is newer than the floor, such as ``except*``
+    below 3.11."""
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = tuple(map(int, floor.groups()))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
+    with pytest.raises(SyntaxError):  # the parser enforces a floor, it does not ignore it
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -44,6 +44,11 @@ class TestRadiusEstimate:
         with pytest.raises(DegenerateError):
             radius_estimate([1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_coefficients_that_are_not_finite(self, bad):
+        with pytest.raises(DegenerateError, match="finite"):
+            radius_estimate([bad] * 10)
+
     def test_coefficients_beyond_float_range(self):
         # 10^(40k) overflows a float from k = 8 on; the radius is 10^-40
         coeffs = [Fraction(10) ** (40 * k) for k in range(15)]
@@ -186,6 +191,12 @@ class TestQuadrature:
         a = self.series([1, 1, 1, 1, 1, 1, 1])
         with pytest.raises(AliasingError):
             quadrature_hadamard(a, a, 4)
+
+    def test_a_node_count_that_is_not_an_int(self):
+        # a fractional node count aliases silently: 2.5 nodes give 1.2 for an exact 1
+        a = self.series([0, 1])
+        with pytest.raises(DegenerateError, match="node count"):
+            quadrature_hadamard(a, a, 2.5)
 
     def test_coefficient_beyond_float_range(self):
         a = self.series([1, 10 ** 400])

@@ -83,12 +83,13 @@ def hadamard(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:
     """Coefficientwise product on the common window: the xi^n coefficients multiply."""
     phi._check_compatible(psi)
     trunc = phi.trunc.meet(psi.trunc)
-    xi, rest = phi.vars.distinguished, (0,) * (len(phi.vars.names) - 1)
+    xi = phi.vars.distinguished
     terms = {}
     for n, (a, b) in enumerate(zip(phi.univariate_coeffs(xi), psi.univariate_coeffs(xi))):
-        if a.terms and b.terms:  # the slices' product, then moved to xi^n
-            _window_product(terms, _window_product({}, a.terms, b.terms, 0, trunc.deg_xy),
-                            {(n,) + rest: 1}, trunc.deg_t, trunc.deg_xy)
+        if a.terms and b.terms:  # sparse inputs leave many slices empty
+            # a's keys moved to xi^n, as the star kernel's leaf moves its t^k
+            _window_product(terms, {(n,) + e[1:]: c for e, c in a.terms.items()}, b.terms,
+                            trunc.deg_t, trunc.deg_xy)
     return phi._new(trunc, terms)
 
 

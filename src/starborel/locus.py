@@ -51,19 +51,17 @@ class Variety:
         self.groups = [[leaf for leaf in group if leaf.poly.total_degree() > 0]
                        for group in groups]
 
+    def _holds(self, vanishes) -> bool:
+        """Every group has a leaf whose polynomial P satisfies ``vanishes(P)``."""
+        return all(any(vanishes(leaf.poly) for leaf in group) for group in self.groups)
+
     def contains_exact(self, point: dict) -> bool:
         """Exact membership at a rational point binding every variable."""
-        for group in self.groups:
-            if not any(leaf.poly.evaluate(point) == 0 for leaf in group):
-                return False
-        return True
+        return self._holds(lambda P: P.evaluate(point) == 0)
 
     def contains_numeric(self, point: dict, tol: float = 1e-9) -> bool:
         """Numeric membership, scale-free: leaf P holds where |P(x)| <= tol * sum_e |c_e x^e|."""
-        for group in self.groups:
-            if not any(_vanishes(leaf.poly, point, tol) for leaf in group):
-                return False
-        return True
+        return self._holds(lambda P: _vanishes(P, point, tol))
 
     def all_leaves(self):
         for group in self.groups:
@@ -99,19 +97,6 @@ def _vanishes(P: MultiPoly, point: dict, tol: float) -> bool:
     return abs(value) <= tol * scale
 
 
-def _union_ring(a: VariableSet, b: VariableSet) -> VariableSet:
-    names = list(a.names)
-    for n in b.names:
-        if n not in names:
-            names.append(n)
-    return VariableSet(tuple(names), dof=0)
-
-
-def _without(vars: VariableSet, name: str) -> VariableSet:
-    names = tuple(n for n in vars.names if n != name)
-    return VariableSet(names, dof=0)
-
-
 def conv_locus(P: UniOverPoly, Pbar: MultiPoly) -> Variety:
     """Candidate singular variety of a convolution-type integral whose
     integrand is governed by the simple polynomial P (in its distinguished
@@ -127,14 +112,16 @@ def conv_locus(P: UniOverPoly, Pbar: MultiPoly) -> Variety:
     disc = discriminant_locus(P) if P.degree >= 1 else None
     if disc is not None and disc.is_zero:
         raise NotSimpleError(f"polynomial is not square-free in {var!r}")
-    ring = _union_ring(P.vars, Pbar.vars)
+    # P's variables, then those only Pbar has
+    names = P.poly.vars.names + tuple(n for n in Pbar.vars.names if n not in P.poly.vars.names)
+    ring = VariableSet(names, dof=0)
     Pmp = P.poly.rehome(ring)
     Pbar_big = Pbar.rehome(ring)
     if Pbar_big.degree(var) > 0:
         raise VariableMismatchError(f"endpoint branch must not involve {var!r}")
     if Pbar.coeff((0,) * len(Pbar.vars.names)):
         raise DegenerateError("endpoint branch must vanish at the origin")
-    locus_vars = _without(ring, var)
+    locus_vars = VariableSet(tuple(n for n in names if n != var), dof=0)
 
     coeffs = P.coeffs
     leaves = [Leaf("leading coefficient", coeffs[-1].rehome(locus_vars))]

@@ -73,14 +73,6 @@ class UniOverPoly:
     def degree(self) -> int:
         return self.poly.degree(self.var)
 
-    @property
-    def lead(self) -> MultiPoly:
-        return self.coeffs[-1]
-
-    @property
-    def vars(self) -> VariableSet:
-        return self.poly.vars
-
     def to_multipoly(self) -> MultiPoly:
         return self.poly
 
@@ -112,16 +104,19 @@ def _split_content(P: MultiPoly):
 
 
 def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """Exact division; ``DegenerateError`` when B is zero or does not divide A."""
+    """Exact division; ``DegenerateError`` when B is zero or does not divide A.
+    The integer primitive parts divide, as a primitive divisor over Q divides
+    over Z (Gauss's lemma), and the quotient is scaled by the contents' ratio."""
     A._check_compatible(B)
     if B.is_zero:
         raise DegenerateError("division by zero polynomial")
+    (ra, pa), (rb, pb) = _split_content(A), _split_content(B)
     n = len(A.vars.names)
     w, guards = _packing(n, max(A.total_degree(), B.total_degree()))
-    quot = _divide(_pack(A.terms, w), _pack(B.terms, w), guards)
+    quot = _divide(_pack(pa.terms, w), _pack(pb.terms, w), guards)
     if quot is None:
         raise DegenerateError("division is not exact")
-    return A._new(None, _unpack(quot, n, w))
+    return A._new(None, _unpack(quot, n, w)).scale(ra / rb)
 
 
 # -- packed monomials: one int per exponent vector (Monagan & Pearce) ---------
@@ -153,13 +148,14 @@ def _unpack(terms: dict, n: int, w: int) -> dict:
 
 
 def _divide(a: dict, b: dict, guards: int):
-    """Quotient of the packed term dict a by the nonzero packed term dict b,
-    or None when the division is not exact: repeated graded-lex leading-term
-    cancellation.  The remainder's keys wait, negated, in a heap: one is
-    pushed when it enters the remainder, and popped ones that have left it
-    are skipped.  b's leading key has its top total degree, so no key here
-    outgrows a's total degree, and a quotient key with a guard bit set (a
-    borrow out of some field) is a monomial that does not divide."""
+    """Quotient over Z of the packed int term dict a by the nonzero packed int
+    term dict b, or None when the division is not exact: repeated graded-lex
+    leading-term cancellation.  The remainder's keys wait, negated, in a heap:
+    one is pushed when it enters the remainder, and popped ones that have
+    left it are skipped.  b's leading key has its top total degree, so no key
+    here outgrows a's total degree; a quotient key with a guard bit set (a
+    borrow out of some field) is a monomial that does not divide, and a
+    quotient coefficient that is not an int ends the division too."""
     eb = max(b)
     cb = b[eb]
     rest = [(e, c) for e, c in b.items() if e != eb]
@@ -173,11 +169,10 @@ def _divide(a: dict, b: dict, guards: int):
         if ca is None:
             continue
         eq = ea - eb
-        if eq & guards:
+        cq, r = divmod(ca, cb)
+        if r or eq & guards:
             return None
-        # the leading key falls strictly, so each eq is new
-        cq = quot[eq] = ca // cb if ca.__class__ is cb.__class__ is int and not ca % cb \
-            else Fraction(ca, cb)
+        quot[eq] = cq  # the leading key falls strictly, so each eq is new
         for e2, c2 in rest:
             e = eq + e2
             d = cq * c2
@@ -308,7 +303,7 @@ def content_primitive(P: UniOverPoly):
     """Split P = content * primitive with the primitive part having coprime
     integer-primitive coefficients and positive leading rational content."""
     g = _content_in(P.poly, P.var)
-    if P.lead.leading()[1] < 0:
+    if P.coeffs[-1].leading()[1] < 0:
         g = -g
     return g, UniOverPoly(P.var, mp_divexact(P.poly, g))
 
@@ -410,7 +405,7 @@ def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
     if m < 1 and n < 1:
         raise DegenerateError("resultant needs positive degree in the variable")
     size = m + n
-    zero = MultiPoly.zero(P.vars)
+    zero = MultiPoly.zero(P.poly.vars)
     rows = []
     for i in range(n):
         rows.append([zero] * i + p + [zero] * (size - m - 1 - i))

@@ -132,13 +132,6 @@ def _glex_key(e):
     return -sum(e), tuple(map(neg, e)), e
 
 
-def _glex_leading(terms) -> tuple:
-    """The graded-lex leading exponent of a nonzero term dict.  The key is
-    built only for the terms of top total degree."""
-    top = max(map(sum, terms))
-    return min((e for e in terms if sum(e) == top), key=_glex_key)
-
-
 def _caps(trunc) -> tuple:
     """(t-cap, xy-cap) of a window; open (inf) without one."""
     return (inf, inf) if trunc is None else (trunc.deg_t, trunc.deg_xy)
@@ -187,6 +180,10 @@ def _put(terms: dict, values: dict) -> tuple:
     return den, {e: c for e, c in acc.items() if c}
 
 
+def _arity_error(expo: tuple, vars: VariableSet) -> VariableMismatchError:
+    return VariableMismatchError(f"multi-index {expo} has wrong arity for {vars.names}")
+
+
 def _derive(terms: dict, idxs) -> dict:
     """The term dict differentiated once by each variable index in ``idxs``."""
     for i in idxs:
@@ -215,8 +212,7 @@ class SparseTerms:
         for expo, coeff in (terms or {}).items():
             expo = tuple(expo)
             if len(expo) != n:
-                raise VariableMismatchError(
-                    f"multi-index {expo} has wrong arity for {vars.names}")
+                raise _arity_error(expo, vars)
             if not all(isinstance(k, int) and k >= 0 for k in expo):
                 raise VariableMismatchError(
                     f"multi-index {expo} has an exponent that is not a nonnegative int")
@@ -294,7 +290,10 @@ class SparseTerms:
         return not self.terms
 
     def coeff(self, expo):
-        return self.terms.get(tuple(expo), 0)
+        expo = tuple(expo)
+        if len(expo) != len(self.vars.names):
+            raise _arity_error(expo, self.vars)
+        return self.terms.get(expo, 0)
 
     def degree(self, name: str) -> int:
         """Largest exponent of ``name``; -1 for zero."""
@@ -308,7 +307,7 @@ class SparseTerms:
         """(multi-index, coefficient) of the graded-lex leading term."""
         if self.is_zero:
             raise DegenerateError("zero polynomial has no leading term")
-        key = _glex_leading(self.terms)
+        key = min(self.terms, key=_glex_key)
         return key, self.terms[key]
 
     def univariate_coeffs(self, name: str) -> list:
@@ -335,27 +334,22 @@ class SparseTerms:
         """Common window of two compatible operands (None if unwindowed)."""
         return None if self.trunc is None else self.trunc.meet(other.trunc)
 
-    def _plus(self, other, sign: int):
+    def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self._constant(other)
         self._check_compatible(other)
         terms = dict(self.terms)
         get = terms.get
-        if sign > 0:
-            for e, c in other.terms.items():
-                terms[e] = get(e, 0) + c
-        else:
-            for e, c in other.terms.items():
-                terms[e] = get(e, 0) - c
+        for e, c in other.terms.items():
+            terms[e] = get(e, 0) + c
         return self._new(self._meet(other), terms)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        if not isinstance(other, (int, Fraction)):
+            self._check_compatible(other)  # before negating: other may be any object
+        return self + -other
 
     def __neg__(self):
         return self._new(self.trunc, {e: -c for e, c in self.terms.items()})
@@ -369,14 +363,16 @@ class SparseTerms:
         return self._new(trunc, _window_product({}, self.terms, other.terms, *_caps(trunc)))
 
     def scale(self, r):
-        """r times this, for an exact rational r."""
-        r = canonical(r)
+        """r times this, for an exact rational r (an int, ``Fraction`` or string)."""
+        r = canonical(as_rat(r))
         return self._new(self.trunc, {e: r * v for e, v in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def pow(self, n: int):
+        if not isinstance(n, int):
+            raise DegenerateError(f"the power must be an int, got {n!r}")
         if n < 0:
             raise DegenerateError("negative powers not supported")
         out = self._constant(1)
@@ -400,6 +396,8 @@ class SparseTerms:
         shrinks by ``order`` in the differentiated direction unless
         ``shrink_window`` is false."""
         i = self.vars.index(name)
+        if not isinstance(order, int):
+            raise DegenerateError(f"the derivative order must be an int, got {order!r}")
         if order < 0:
             raise DegenerateError("negative derivative orders not supported")
         terms = _derive(self.terms, [i] * order)
@@ -427,8 +425,6 @@ class SparseTerms:
     def evaluate_partial(self, bindings: dict):
         """Substitute exact rationals for some variables.  A windowed series
         keeps its distinguished variable free: the window caps it apart."""
-        if not bindings:
-            return self
         if self.trunc is not None and self.vars.distinguished in bindings:
             raise BindingError("cannot bind the distinguished variable")
         s, terms = _scaled(self)

@@ -46,15 +46,17 @@ def euler_singular_locus() -> Variety:
     return Variety(vars, [[Leaf("singular point", poly)]])
 
 
+def _padded(trunc: Truncation) -> Truncation:
+    """The window truncated star-product factors need to be exact on trunc: the
+    order-k term takes k more degrees of each, and k goes up to the t-cap."""
+    return Truncation(trunc.deg_t, trunc.deg_t + trunc.deg_xy)
+
+
 def euler_product_tseries(vars: VariableSet, trunc: Truncation) -> FormalSeries:
     """Window expansion of the product of the two geometric factors under the
     standard star: sum_k k! t^k ((1-p)(1-q))^{-k-1}, realized by star-multiplying
-    the truncated factors 1/(1-p) and 1/(1-q).
-
-    The factors are padded to twice the joint-degree cap: the order-k star
-    term differentiates each factor k times, so padding keeps every retained
-    coefficient exact."""
-    pad = Truncation(trunc.deg_t, 2 * trunc.deg_xy)
+    the truncated factors 1/(1-p) and 1/(1-q), padded by ``_padded``."""
+    pad = _padded(trunc)
     f = FormalSeries(vars, pad,
                      {(0, 0, k): Fraction(1) for k in range(pad.deg_xy + 1)})
     g = FormalSeries(vars, pad,
@@ -108,10 +110,10 @@ def examples_suite() -> tuple:
     ok &= _check(lines, "CCR at three degrees of freedom", ccr)
 
     # each series's k-th coefficient times base^(k + 1 - first) is want(k);
-    # log star log's factors are padded as in euler_product_tseries
+    # log star log's factors are padded by _padded, as in euler_product_tseries
     prod = euler_product_tseries(V, T)
     bprod = borel(prod)
-    Tpad = Truncation(T.deg_t, 2 * T.deg_xy)
+    Tpad = _padded(T)
     lg = standard_star(log_tseries(V, Tpad, "p"),
                        log_tseries(V, Tpad, "q")).truncate(T)
     blg = borel(lg)

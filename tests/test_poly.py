@@ -320,6 +320,43 @@ class TestIntegerPaths:
             mp_divexact(P("3*z1^2 + 1"), P("2*z1"))
 
 
+INTEGRAL = st.dictionaries(EXPONENT, st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
+CONTENT = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(
+    lambda r: abs(r) not in (0, 1))
+
+
+def with_content(terms, r):
+    """The integer polynomial's primitive part times the rational r: its content is |r|."""
+    g = math.gcd(*terms.values())
+    return MultiPoly(V3, {e: Fraction(c, g) for e, c in terms.items()}).scale(r)
+
+
+class TestRationalContents:
+    """Exact division divides the integer primitive parts and scales by the
+    contents' ratio, so rational operands reach the integer loop."""
+
+    @DIVIDE
+    @given(INTEGRAL, CONTENT, INTEGRAL, CONTENT)
+    def test_exact_and_inexact(self, a, ra, b, rb):
+        A, B = with_content(a, ra), with_content(b, rb)
+        q = mp_divexact(A * B, B)
+        assert q.terms == A.terms
+        assert all(type(c) is int if c.denominator == 1 else type(c) is Fraction
+                   for c in q.terms.values())
+        assume(B.total_degree() > 0)
+        with pytest.raises(DegenerateError, match="division is not exact"):
+            mp_divexact(A * B + 1, B)
+
+    def test_inexact_divisions_stop_early(self):
+        # a leftover constant term below 4*x, then a leading quotient 2/4 over Z
+        V1 = VariableSet(("x",))
+        with pytest.raises(DegenerateError, match="division is not exact"):
+            mp_divexact(MultiPoly.from_string("2*x + 1", V1), MultiPoly.from_string("4*x", V1))
+        with pytest.raises(DegenerateError, match="division is not exact"):
+            mp_divexact(MultiPoly.from_string("2*x + 3", V1),
+                        MultiPoly.from_string("4*x + 1", V1))
+
+
 class TestTransforms:
     def test_shift(self):
         out = P("z1^2").substitute("z1", P("z1 + z2"))

@@ -111,6 +111,27 @@ class TestRing:
         with pytest.raises(DegenerateError):
             MultiPoly.from_string("1 + p", V).pow(-1)
 
+    def test_a_power_that_is_not_an_int(self):
+        with pytest.raises(DegenerateError, match="power must be an int"):
+            S("1 + p").pow(1.5)
+
+    def test_coeff_of_a_multi_index_of_the_wrong_arity(self):
+        f = S("t*p")
+        assert f.coeff((1, 0, 1)) == 1
+        with pytest.raises(VariableMismatchError, match="wrong arity"):
+            f.coeff((1, 0))
+        with pytest.raises(VariableMismatchError, match="wrong arity"):
+            MultiPoly.from_string("p", V).coeff((0, 0, 1, 0))
+
+    def test_scale_coerces_its_factor_as_the_constructor_does(self):
+        f = S("t*p + 2*q")
+        assert f.scale("1/2") == f.scale(Fraction(1, 2)) == S("1/2*t*p + q")
+        assert f.scale("4/2").terms == {(1, 0, 1): 2, (0, 1, 0): 4}
+        with pytest.raises(TypeError, match="exact rational"):
+            f.scale(0.5)
+        with pytest.raises(ParseError):
+            f.scale("half")
+
 
 class TestCalculus:
     def test_mixed_partials_commute(self):
@@ -148,6 +169,12 @@ class TestCalculus:
         f = S("t*p^2 + q")
         got = f.evaluate_partial({"p": Fraction(1, 2)})
         assert got == S("1/4*t + q")
+
+    def test_a_derivative_order_that_is_not_an_int(self):
+        with pytest.raises(DegenerateError, match="order must be an int"):
+            S("q^3").diff("q", 1.5)
+        with pytest.raises(DegenerateError, match="negative"):
+            S("q^3").diff("q", -1)
 
     def test_evaluate_partial_distinguished_rejected(self):
         with pytest.raises(BindingError):

@@ -344,6 +344,27 @@ def test_product_keys_are_built_in_the_window_product_only():
     assert found == {"series.py:_window_product"}, f"product keys built in {sorted(found)}"
 
 
+def test_the_packed_loops_run_on_ints():
+    """Exact division divides the integer primitive parts (Gauss's lemma), so
+    the packed loops (division, fused multiply-subtract, the determinant and
+    the heuristic gcd) never name ``Fraction``."""
+    loops = {f"poly.py:{name}" for name in ("_divide", "_fms", "_bareiss_det", "_heu_gcd")}
+    assert loops <= _owners(SRC / "poly.py", lambda node: isinstance(node, ast.FunctionDef))
+    found = loops & _owners(SRC / "poly.py",
+                            lambda node: isinstance(node, ast.Name) and node.id == "Fraction")
+    assert not found, f"Fraction named in {sorted(found)}"
+
+
+def test_the_hadamard_product_runs_one_product_per_slice_pair():
+    """``borel.hadamard`` moves each left slice to xi^n and multiplies it
+    with the right slice in one ``_window_product`` call: no inner slice
+    product is taken first."""
+    body, = [node for node in ast.parse((SRC / "borel.py").read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name == "hadamard"]
+    calls = sum(_calls(node, "_window_product") for node in ast.walk(body))
+    assert calls == 1, f"hadamard calls _window_product {calls} times"
+
+
 def test_one_binding_loop():
     """Putting rationals in for variables is one loop, ``series._put``: the
     heuristic gcd's integer evaluation imports it, and ``evaluate`` and

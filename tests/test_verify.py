@@ -23,7 +23,7 @@ from starborel import (
     quadrature_hadamard,
     radius_estimate,
 )
-from starborel.suites import euler_singular_locus
+from starborel.suites import euler_product_tseries, euler_singular_locus
 
 
 class TestRadiusEstimate:
@@ -136,6 +136,16 @@ class TestFamilies:
     def test_degenerate_point(self):
         with pytest.raises(DegenerateError):
             euler_borel_coeffs(Fraction(1), Fraction(0), 5)
+
+    @pytest.mark.parametrize("caps", [(6, 2), (10, 4), (3, 6), (8, 8)])
+    def test_euler_product_is_exact_on_every_window(self, caps):
+        # sum_k k! t^k ((1-p)(1-q))^(-k-1): t^k q^b p^a has k! C(a+k, k) C(b+k, k),
+        # also where the t-cap exceeds the joint-degree cap
+        V, (K, D) = VariableSet.phase_space(1), caps
+        got = euler_product_tseries(V, Truncation(K, D))
+        want = {(k, b, a): math.factorial(k) * math.comb(a + k, k) * math.comb(b + k, k)
+                for k in range(K + 1) for b in range(D + 1) for a in range(D + 1 - b)}
+        assert got.terms == want
 
 
 class TestCheck:

@@ -11,31 +11,28 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import UnknownVariableError, VariableMismatchError
-from .series import FormalSeries, Truncation, VariableSet, _window_product
-from .star import StarKind, STANDARD, _exp_pairing, star, transition_T
+from .series import FormalSeries, Truncation, VariableSet, _scaled, _window_product
+from .star import (_PAIRINGS, StarKind, STANDARD, _borel_new, _dof_pairings, _exp_pairing,
+                   _transition_args)
 
 
 def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
-    """beta: t^n -> xi^n / n!, coefficientwise."""
-    fact = [factorial(n) for n in range(f.degree(f.vars.distinguished) + 1)]
-    return f._new(f.trunc, {e: Fraction(c.numerator, c.denominator * fact[e[0]])
-                            for e, c in f.terms.items()}, f.vars.renamed_distinguished(new_name))
+    """beta: t^n -> xi^n / n!, coefficientwise: the kernels' β exit on f's ints."""
+    return _borel_new(f, f.trunc, *_scaled(f), new_name)
 
 
 def inverse_borel(fhat: FormalSeries) -> FormalSeries:
     """beta^{-1}: xi^n -> n! t^n, coefficientwise."""
-    fact = [factorial(n) for n in range(fhat.degree(fhat.vars.distinguished) + 1)]
-    return fhat._new(fhat.trunc, {e: c * fact[e[0]] for e, c in fhat.terms.items()},
+    return fhat._new(fhat.trunc, {e: c * factorial(e[0]) for e, c in fhat.terms.items()},
                      fhat.vars.renamed_distinguished("t"))
 
 
 def borel_star(fhat: FormalSeries, ghat: FormalSeries,
                kind: StarKind = STANDARD) -> FormalSeries:
-    """Borel counterpart of the chosen star product, by conjugation."""
+    """Borel counterpart of the chosen star product, by conjugation: one kernel pass."""
     fhat._check_compatible(ghat)
-    name = fhat.vars.distinguished
-    prod = star(inverse_borel(fhat), inverse_borel(ghat), kind)
-    return borel(prod, name)
+    f, g = inverse_borel(fhat), inverse_borel(ghat)
+    return _exp_pairing(f, g, _dof_pairings(f, g, _PAIRINGS[kind.tag]), xi=fhat.vars.distinguished)
 
 
 def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
@@ -74,9 +71,8 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
 
 
 def borel_T(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
-    """Borel counterpart of the transition operator, by conjugation."""
-    name = fhat.vars.distinguished
-    return borel(transition_T(inverse_borel(fhat), inverse=inverse), name)
+    """Borel counterpart of the transition operator, by conjugation: one kernel pass."""
+    return _exp_pairing(*_transition_args(inverse_borel(fhat), inverse), xi=fhat.vars.distinguished)
 
 
 def hadamard(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:
@@ -113,4 +109,4 @@ def odot_ij(F: FormalSeries, i: str, j: str) -> FormalSeries:
     trunc = Truncation(max(min(F.degree(i), F.degree(j)), 0), F.trunc.deg_t + F.trunc.deg_xy)
     lifted = F._new(trunc, {(0,) + e: c for e, c in F.terms.items()},
                     VariableSet(("xi",) + F.vars.names, F.vars.dof))
-    return borel(_exp_pairing(lifted, lifted._constant(1), [((i, j), (), 1)]))
+    return _exp_pairing(lifted, lifted._constant(1), [((i, j), (), 1)], xi="xi")

@@ -152,9 +152,9 @@ def _window_product(acc: dict, left: dict, right: dict, dt: int, dxy: int) -> di
 
 
 def _scaled(f):
-    """(s, the terms of s·f as ints), s the lcm of f's denominators (1 for zero)."""
-    s = lcm(*(c.denominator for c in f.terms.values()))
-    return s, {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()}
+    """(s, s·f's terms as ints), s the lcm of f's denominators; for s = 1 f's own dict, only read."""
+    s = lcm(*{c.denominator for c in f.terms.values()})
+    return s, f.terms if s == 1 else {e: c.numerator * (s // c.denominator) for e, c in f.terms.items()}
 
 
 def _put(terms: dict, values: dict) -> tuple:
@@ -355,12 +355,13 @@ class SparseTerms:
         return self._new(self.trunc, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        """Product on the common window: terms outside it are dropped."""
+        """Product on the common window, in ints as the kernels: terms outside it are dropped."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
         trunc = self._meet(other)
-        return self._new(trunc, _window_product({}, self.terms, other.terms, *_caps(trunc)))
+        (s1, a), (s2, b) = _scaled(self), _scaled(other)
+        return self._new(trunc, _window_product({}, a, b, *_caps(trunc)), None, s1 * s2)
 
     def scale(self, r):
         """r times this, for an exact rational r (an int, ``Fraction`` or string)."""

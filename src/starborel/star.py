@@ -52,14 +52,14 @@ def _dof_pairings(f: FormalSeries, g: FormalSeries, per_dof) -> list:
     return [e for q, p in f.vars.phase_pairs() for e in per_dof(q, p)]
 
 
-def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False) -> FormalSeries:
+def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False, xi=None) -> FormalSeries:
     """exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) (f ⊗ g) on the common window of two
     compatible series, t distinguished, for ``pairings`` (a_e, b_e, w_e) that each
     name a derivative: every order differentiates f or g, so the orders k stop at
     K = min(t-cap, f's xy-degree + g's xy-degree).  Depth first in ints: f, g scaled
     by the lcm sf, sg of their denominators, W_e = D·w_e for D the lcm of the weights',
     order k adding k!/∏n_e!·∏W_e^(n_e) times K!/k!·D^(K-k), all over sf·sg·K!·D^K, which ``_new`` divides.
-    With ``odd`` set, only the odd orders k are kept: the even leaves skip their products."""
+    ``odd`` keeps only the odd orders k (the even leaves skip their products); ``xi`` names β of it."""
     trunc = f.trunc.meet(g.trunc)
     cap, dxy = trunc.deg_t, trunc.deg_xy
     (sf, F), (sg, G) = _scaled(f), _scaled(g)
@@ -85,7 +85,15 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False) -> Forma
             _window_product(acc, {(e[0] + k,) + e[1:]: c * v for e, v in df.items()}, dg, cap, dxy)
 
     walk(0, F, G, 0, 1)
-    return f._new(trunc, acc, None, sf * sg * scale[0])
+    den = sf * sg * scale[0]
+    return f._new(trunc, acc, None, den) if xi is None else _borel_new(f, trunc, den, acc, xi)
+
+
+def _borel_new(f: FormalSeries, trunc, den: int, nums: dict, xi: str) -> FormalSeries:
+    """β (t^n -> xi^n/n!, ``xi`` distinguished) in ``_new``'s one division: N!/n!·nums over N!·den."""
+    fact = factorial(max((e[0] for e in nums), default=0))
+    return f._new(trunc, {e: c * (fact // factorial(e[0])) for e, c in nums.items()},
+                  f.vars.renamed_distinguished(xi), den * fact)
 
 
 def standard_star(f: FormalSeries, g: FormalSeries) -> FormalSeries:
@@ -122,7 +130,12 @@ def poisson_bracket(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     return out
 
 
+def _transition_args(f: FormalSeries, inverse: bool) -> tuple:
+    """The kernel's arguments for T^{±1} f: f, the unit series and the pairings."""
+    pairings = [((q, p), (), _HALF if inverse else -_HALF) for q, p in f.vars.phase_pairs()]
+    return f, f._constant(1), pairings
+
+
 def transition_T(f: FormalSeries, inverse: bool = False) -> FormalSeries:
     """T^{±1} f = exp(∓(t/2) Σ_j ∂_{q_j}∂_{p_j}) f, exact on the window."""
-    pairings = [((q, p), (), _HALF if inverse else -_HALF) for q, p in f.vars.phase_pairs()]
-    return _exp_pairing(f, FormalSeries.one(f.vars, f.trunc), pairings)
+    return _exp_pairing(*_transition_args(f, inverse))

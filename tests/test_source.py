@@ -325,6 +325,36 @@ def test_int_numerators_leave_through_new():
     assert found == {"series.py:SparseTerms._new"}, f"Fraction comprehensions in {sorted(found)}"
 
 
+def test_the_borel_plane_leaves_ints_through_new():
+    """β and the conjugated products leave the kernel's ints through the
+    same one division in ``_new``: borel.py builds no ``Fraction``s in a
+    comprehension either."""
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def builds_fractions(node):
+        return isinstance(node, comprehensions) and any(
+            _calls(inner, "Fraction") for inner in ast.walk(node))
+    found = _owners(SRC / "borel.py", builds_fractions)
+    assert not found, f"Fraction comprehensions in {sorted(found)}"
+
+
+def test_the_conjugations_are_one_kernel_pass():
+    """``borel_star``, ``borel_T`` and ``odot_ij`` each run one
+    ``_exp_pairing`` pass that leaves through β: none of them goes through a
+    t-plane product, T or ``borel``, which would divide a second time."""
+    bodies = {node.name: node for node in ast.parse((SRC / "borel.py").read_text()).body
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("borel_star", "borel_T", "odot_ij")}
+    assert sorted(bodies) == ["borel_T", "borel_star", "odot_ij"]
+    for name, body in bodies.items():
+        used = [node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(body) if isinstance(node, (ast.Name, ast.Attribute))]
+        passes = used.count("_exp_pairing")
+        assert passes == 1, f"{name} references _exp_pairing {passes} times"
+        detours = {"borel", "star", "standard_star", "moyal_star", "transition_T"} & set(used)
+        assert not detours, f"{name} references {sorted(detours)}"
+
+
 def test_product_keys_are_built_in_the_window_product_only():
     """One product loop: exponent keys summed entrywise, as
     ``tuple(map(add, e1, e2))`` or ``tuple(a + b for a, b in zip(e1, e2))``,

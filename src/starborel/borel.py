@@ -48,7 +48,6 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
     (q, p), = vars.phase_pairs()
     trunc = fhat.trunc.meet(ghat.trunc)
     acc = {}
-    rest = (0,) * (len(vars.names) - 1)
 
     def derivatives(f, name, k):
         """The running derivatives of the xi^k coefficient f, up to the window."""
@@ -65,8 +64,9 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
             for s in range(min(len(dfm), len(dgn), trunc.deg_t - m - n + 1)):
                 coef = Fraction(factorial(n) * factorial(m),
                                 factorial(n + m + s) * factorial(s))
-                _window_product(acc, (dfm[s] * dgn[s]).terms, {(m + n + s,) + rest: coef},
-                                trunc.deg_t, trunc.deg_xy)
+                # dfm[s]'s keys moved to xi^(m+n+s) and scaled, as hadamard moves its slices
+                left = {(m + n + s,) + e[1:]: coef * c for e, c in dfm[s].terms.items()}
+                _window_product(acc, left, dgn[s].terms, trunc.deg_t, trunc.deg_xy)
     return FormalSeries(vars, trunc, acc)
 
 

@@ -210,10 +210,11 @@ def _cleared_family(coeffs, ring: VariableSet, x: str, xi: str, z: str) -> Multi
     Q = sum_k b_k x^k of degree N given by its coefficients b_0..b_N."""
     zv = MultiPoly.variable(ring, z)
     core = MultiPoly.variable(ring, x) * zv + MultiPoly.variable(ring, xi)
-    N = len(coeffs) - 1
-    out = MultiPoly.zero(ring)
-    for k, b in enumerate(coeffs):
-        out = out + b.rehome(ring) * core.pow(k) * zv.pow(N - k)
+    # Horner in core from b_N down, with a running z^(N-k)
+    out, zk = MultiPoly.zero(ring), MultiPoly.one(ring)
+    for b in reversed(coeffs):
+        out = out * core + b.rehome(ring) * zk
+        zk = zk * zv
     return out
 
 

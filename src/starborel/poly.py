@@ -105,18 +105,19 @@ def _split_content(P: MultiPoly):
 
 def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     """Exact division; ``DegenerateError`` when B is zero or does not divide A.
-    The integer primitive parts divide, as a primitive divisor over Q divides
-    over Z (Gauss's lemma), and the quotient is scaled by the contents' ratio."""
+    A's integer terms sa·A divide by the primitive part pb of B's, sb·B = g·pb,
+    over Z (Gauss's lemma), and A / B is that quotient times sb / (sa·g)."""
     A._check_compatible(B)
     if B.is_zero:
         raise DegenerateError("division by zero polynomial")
-    (ra, pa), (rb, pb) = _split_content(A), _split_content(B)
+    (sa, a), (sb, b) = _scaled(A), _scaled(B)
+    g = reduce(int_gcd, b.values(), 0)  # the 0 keeps g positive
     n = len(A.vars.names)
     w, guards = _packing(n, max(A.total_degree(), B.total_degree()))
-    quot = _divide(_pack(pa.terms, w), _pack(pb.terms, w), guards)
+    quot = _divide(_pack(a, w), _pack({e: c // g for e, c in b.items()}, w), guards)
     if quot is None:
         raise DegenerateError("division is not exact")
-    return A._new(None, _unpack(quot, n, w)).scale(ra / rb)
+    return A._new(None, {e: c * sb for e, c in _unpack(quot, n, w).items()}, None, sa * g)
 
 
 # -- packed monomials: one int per exponent vector (Monagan & Pearce) ---------
@@ -204,7 +205,7 @@ def mp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
             return MultiPoly.constant(A.vars, r)
         h = _heu_gcd(pa.terms, pb.terms)
         if h is not None:
-            g = A._new(None, h).scale(r)
+            g = A._new(None, {e: c * r.numerator for e, c in h.items()}, None, r.denominator)
         else:
             var = next(n for n in A.vars.names if A.degree(n) > 0 or B.degree(n) > 0)
             ca, cb = _content_in(A, var), _content_in(B, var)
@@ -428,8 +429,7 @@ def product_discriminant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
     replace one of size 2(m + n) - 1."""
     if P.degree < 1 or Q.degree < 1:
         raise DegenerateError("the product formula needs both degrees >= 1")
-    # multiply the integer primitive parts; the contents and the sign go on last
-    (a, dp), (b, dq), (c, res) = (_split_content(f) for f in (
-        discriminant_locus(P), discriminant_locus(Q), sylvester_resultant(P, Q)))
-    sign = -1 if P.degree * Q.degree % 2 else 1
-    return ((dp * dq) * (res * res)).scale(sign * a * b * c * c)
+    # multiplied as returned; the sign goes on the smaller discriminant
+    dp, dq = sorted((discriminant_locus(P), discriminant_locus(Q)), key=lambda d: len(d.terms))
+    res = sylvester_resultant(P, Q)
+    return ((-dp if P.degree * Q.degree % 2 else dp) * dq) * (res * res)

@@ -411,16 +411,14 @@ class SparseTerms:
         return self._new(trunc, terms)
 
     def substitute(self, name: str, replacement):
-        """Exact substitution of ``replacement`` for one variable."""
+        """Exact substitution of ``replacement`` for one variable, by Horner's
+        rule over the slices from the top.  Clipping the partial sums is exact:
+        a product never lowers a term's degrees."""
         parts = self.univariate_coeffs(name)
         replacement._check_compatible(self)
-        trunc = self._meet(replacement)
-        power = self._new(trunc, {(0,) * len(self.vars.names): 1})
-        out = self._new(trunc, {})
-        for k, part in enumerate(parts):
-            if k:
-                power = power * replacement
-            out = out + part * power
+        out = self._new(self._meet(replacement), {})
+        for part in reversed(parts):
+            out = out * replacement + part
         return out
 
     def evaluate_partial(self, bindings: dict):

@@ -46,7 +46,7 @@ def radius_estimate(coeffs, method: str = "ratio") -> float:
     """
     try:
         vals = [Fraction(c) for c in coeffs]
-    except (ValueError, OverflowError):  # nan, inf, or a string that is no number
+    except (ValueError, OverflowError, TypeError):  # nan, inf, no number, or not a real one
         raise DegenerateError("coefficients must be finite numbers") from None
     nonzero = [k for k, v in enumerate(vals) if v]
     if len(nonzero) < 8:

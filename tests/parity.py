@@ -322,7 +322,8 @@ def check(name: str, want: dict):
         return None
     for k, ((label, value), h) in enumerate(zip(cases, got["cases"])):
         if k >= len(want["cases"]) or h != want["cases"][k]:
-            return f"family {name}: case {k} ({label}) differs; it is now:\n{value}"
+            shown = value if len(value) <= 2000 else value[:2000] + " ..."
+            return f"family {name}: case {k} ({label}) differs; it is now:\n{shown}"
     return f"family {name}: {len(want['cases'])} cases committed, {len(cases)} now"
 
 

@@ -371,6 +371,23 @@ class TestTransforms:
         zero = MultiPoly.zero(vars)
         assert out.substitute("z1", zero) == MultiPoly.from_string("xi^2 - z2*z^2", vars)
 
+    @DIVIDE
+    @given(st.lists(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), NONZERO,
+                                    max_size=3), min_size=1, max_size=5))
+    def test_cleared_family_is_the_sum_of_its_terms(self, slices):
+        # b_0..b_N (N = 0..4, zero ones included) over (w, y); the reference
+        # is sum_k b_k (x z + xi)^k z^(N-k), every power taken by pow
+        ring = VariableSet(("x", "xi", "w", "y", "z"), dof=0)
+        coeffs = [MultiPoly(VariableSet(("w", "y"), dof=0), b) for b in slices]
+        x, xi, z = (MultiPoly.variable(ring, n) for n in ("x", "xi", "z"))
+        N = len(coeffs) - 1
+        want = MultiPoly.zero(ring)
+        for k, b in enumerate(coeffs):
+            want = want + b.rehome(ring) * (x * z + xi).pow(k) * z.pow(N - k)
+        got = _cleared_family(coeffs, ring, "x", "xi", "z")
+        assert {e: (c, type(c)) for e, c in got.terms.items()} == \
+            {e: (c, type(c)) for e, c in want.terms.items()}
+
 
 def from_sympy_u(expr):
     return UniOverPoly.from_multipoly(from_sympy(expr), "z1")

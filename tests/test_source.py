@@ -429,3 +429,23 @@ def test_every_module_parses_at_the_declared_python_floor():
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
     with pytest.raises(SyntaxError):  # the parser enforces a floor, it does not ignore it
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_exact_division_and_the_product_formula_split_no_content():
+    """``mp_divexact`` packs ``_scaled``'s ints and B's primitive part itself,
+    and ``product_discriminant`` multiplies the three factors as
+    ``sylvester_resultant`` returns them: neither calls ``_split_content``."""
+    found = _owners(SRC / "poly.py", lambda node: _calls(node, "_split_content"))
+    for name in ("mp_divexact", "product_discriminant"):
+        assert f"poly.py:{name}" not in found, f"{name} calls _split_content"
+
+
+def test_running_powers_take_no_pow():
+    """The cleared family and the examples suite's closed forms keep a running
+    power, one product per step, instead of raising a power anew per degree."""
+
+    def calls_pow(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "pow"
+    found = _owners(SRC / "locus.py", calls_pow) | _owners(SRC / "suites.py", calls_pow)
+    for where in ("locus.py:_cleared_family", "suites.py:examples_suite"):
+        assert where not in found, f"{where} calls .pow"

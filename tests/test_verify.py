@@ -49,6 +49,11 @@ class TestRadiusEstimate:
         with pytest.raises(DegenerateError, match="finite"):
             radius_estimate([bad] * 10)
 
+    @pytest.mark.parametrize("bad", [1j, None], ids=["complex", "none"])
+    def test_coefficients_that_are_not_real_numbers(self, bad):
+        with pytest.raises(DegenerateError, match="finite"):
+            radius_estimate([bad] * 10)
+
     def test_coefficients_beyond_float_range(self):
         # 10^(40k) overflows a float from k = 8 on; the radius is 10^-40
         coeffs = [Fraction(10) ** (40 * k) for k in range(15)]

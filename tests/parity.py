@@ -111,14 +111,14 @@ def _series(rng, vars, trunc, nterms=6, max_exp=3):
 
 
 def _in_var(rng, vars, var, degree, nterms=3):
-    """A polynomial of exact degree ``degree`` in ``var``: a random top
-    coefficient (nonzero) times var^degree plus random lower terms."""
+    """A polynomial of exact degree ``degree`` >= 1 in ``var``: a random
+    nonzero top coefficient times var^degree plus random lower terms."""
     i = vars.index(var)
     top = _nonzero_poly(rng, vars, 2, 1)
     top = MultiPoly(vars, {e[:i] + (degree,) + e[i + 1:]: c for e, c in top.terms.items()})
     low = MultiPoly(vars, {e[:i] + (min(e[i], degree - 1),) + e[i + 1:]: c
                            for e, c in _terms(rng, len(vars.names), nterms, 2).items()})
-    return top + low if degree else top
+    return top + low
 
 
 # -- the families -------------------------------------------------------------
@@ -223,7 +223,7 @@ def borel_formula():
         yield f"{i}", lambda f=f, g=g: borel_star_standard_formula(f, g)
 
 
-def _points(rng, names, count, zero=None):
+def _points(rng, names, count, zero):
     return [{n: Fraction(0) if n == zero and k % 2 else _rat(rng) for n in names}
             for k in range(count)]
 

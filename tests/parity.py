@@ -6,11 +6,15 @@ its terms in sorted order, or as the error class and message.  The committed
 file ``parity_digests.json`` holds, per family, the sha256 of all its cases
 and a short hash per case, so that a mismatch names the first differing case.
 
-    python tests/parity.py            # check every family, print the verdicts
-    python tests/parity.py --write    # rewrite parity_digests.json
+    python tests/parity.py                   # check every family, print the verdicts
+    python tests/parity.py --write           # add the digests of new families
+    python tests/parity.py --write NAME ...  # also rewrite the named families' digests
 
-``tests/test_parity.py`` runs the check in the test suite.  A change that
-alters a digest on purpose names the family in CHANGES.md and says why.
+``--write`` never overwrites a committed digest that it is not given by
+name: it prints the family's first differing case and fails, so a new
+family's digest is written on the unchanged code first.  ``tests/test_parity.py``
+runs the check in the test suite.  A change that alters a digest on purpose
+names the family in CHANGES.md and says why.
 """
 
 from __future__ import annotations
@@ -30,19 +34,29 @@ if __name__ == "__main__":  # run as a script from a checkout
     sys.path.insert(0, str(HERE.parent / "src"))
 
 from starborel import (  # noqa: E402
+    MOYAL,
+    STANDARD,
     FormalSeries,
     MultiPoly,
     StarBorelError,
     Truncation,
     UniOverPoly,
     VariableSet,
+    borel_star,
     borel_star_standard_formula,
+    borel_T,
     conv_locus,
+    hadamard,
     hadamard_locus_5var,
+    moyal_commutator,
+    moyal_star,
     mp_divexact,
     mp_gcd,
+    odot_ij,
     odot_locus,
     simple_decompose,
+    standard_star,
+    transition_T,
 )
 from starborel.cli import main as cli_main  # noqa: E402
 from starborel.locus import Variety, _cleared_family  # noqa: E402
@@ -108,6 +122,33 @@ def _nonzero_poly(rng, vars, nterms=4, max_exp=2):
 def _series(rng, vars, trunc, nterms=6, max_exp=3):
     return FormalSeries(vars, trunc, {e: c for e, c in _terms(
         rng, len(vars.names), nterms, max_exp).items() if trunc.admits(e)})
+
+
+def _in_window(rng, vars, trunc, nterms=6):
+    """Up to ``nterms`` terms inside ``trunc``: the distinguished degree up to
+    its cap, the other degree up to the xy-cap, spread over the other variables."""
+    terms = {}
+    for _ in range(nterms):
+        e = [rng.randint(0, trunc.deg_t)] + [0] * (len(vars.names) - 1)
+        for _ in range(rng.randint(0, trunc.deg_xy)):
+            e[rng.randrange(1, len(vars.names))] += 1
+        terms[tuple(e)] = _rat(rng)
+    return FormalSeries(vars, trunc, terms)
+
+
+def _ints(f):
+    """f with every coefficient replaced by its numerator: an int-coefficient operand."""
+    return FormalSeries(f.vars, f.trunc, {e: c.numerator for e, c in f.terms.items()})
+
+
+def _phase_operands(rng, i, deform="t"):
+    """(f, g) over the phase space of dof 1 + i % 3: rational coefficients for
+    odd i, ints for even i; one window for i % 4 < 2, else two."""
+    V = VariableSet.phase_space(1 + i % 3, deform)
+    tf = Truncation(rng.randint(1, 6), rng.randint(0, 6))
+    tg = tf if i % 4 < 2 else Truncation(rng.randint(1, 6), rng.randint(0, 6))
+    f, g = _in_window(rng, V, tf, 8), _in_window(rng, V, tg, 8)
+    return (f, g) if i % 2 else (_ints(f), _ints(g))
 
 
 def _in_var(rng, vars, var, degree, nterms=3):
@@ -265,6 +306,55 @@ def loci():
             lambda P=P, Pbar=Pbar: conv_locus(UniOverPoly("z1", P), Pbar), points)
 
 
+def stars():
+    """standard and Moyal star and the commutator at dof 1-3 (int and rational
+    coefficients, one window or two); t-cap 0 and a dof mismatch raise."""
+    rng = random.Random(110)
+    ops = (("standard", standard_star), ("moyal", moyal_star), ("commutator", moyal_commutator))
+    for i in range(36):
+        f, g = _phase_operands(rng, i)
+        for name, op in ops:
+            yield f"{name}/{i}", lambda op=op, f=f, g=g: op(f, g)
+    flat = Truncation(0, 5)
+    f, g = (_in_window(rng, VariableSet.phase_space(dof), flat) for dof in (2, 1))
+    for name, op in ops:
+        yield f"{name}/t-cap-0", lambda op=op: op(f, f)
+        yield f"{name}/dof-mismatch", lambda op=op: op(f, g)
+
+
+def transition():
+    """T^{±1} at dof 1-3, and borel_T in both directions."""
+    rng = random.Random(111)
+    for i in range(16):
+        f, _ = _phase_operands(rng, i)
+        fhat, _ = _phase_operands(rng, i, "xi")
+        for inverse in (False, True):
+            yield f"T/{i}/{inverse}", lambda f=f, inverse=inverse: transition_T(f, inverse)
+            yield f"borel_T/{i}/{inverse}", lambda f=fhat, inverse=inverse: borel_T(f, inverse)
+
+
+def borel_plane():
+    """borel_star of both kinds, odot_ij, and * and hadamard against a one-term
+    constant series (or polynomial), on either side."""
+    rng = random.Random(112)
+    for i in range(16):
+        fhat, ghat = _phase_operands(rng, i, "xi")
+        for kind in (STANDARD, MOYAL):
+            yield f"{kind.tag}/{i}", lambda f=fhat, g=ghat, kind=kind: borel_star(f, g, kind)
+        window = fhat.trunc if i % 3 else Truncation(rng.randint(0, 6), rng.randint(0, 6))
+        c = FormalSeries.constant(fhat.vars, window, _rat(rng) if i % 2 else rng.randint(-6, 6))
+        for name, op in (("mul", lambda a, b: a * b), ("hadamard", hadamard)):
+            yield f"{name}/{i}", lambda op=op, f=fhat, c=c: (op(f, c), op(c, f))
+    ZV = VariableSet(("u", "z1", "z2", "z3"))
+    for i in range(8):
+        F = _in_window(rng, ZV, Truncation(rng.randint(0, 4), rng.randint(0, 6)))
+        F = F if i % 2 else _ints(F)
+        for a, b in (("z1", "z2"), ("z3", "z1")):
+            yield f"odot/{i}/{a}{b}", lambda F=F, a=a, b=b: odot_ij(F, a, b)
+        P, c = _poly(rng, XYZ, 5, 3), MultiPoly.constant(XYZ, _rat(rng) or 1)
+        yield f"poly-mul/{i}", lambda P=P, c=c: (P * c, c * P)
+
+
 CLI_LINES = (
     ("verify", "examples"),
     ("verify", "integral-reps", "--seed", "7"),
@@ -289,7 +379,7 @@ def cli():
 
 FAMILIES = {f.__name__: f for f in (
     substitute_windowed, substitute_poly, cleared_family, divexact, gcd, product_disc,
-    simple, borel_formula, loci, cli)}
+    simple, borel_formula, loci, cli, stars, transition, borel_plane)}
 
 
 # -- digests ------------------------------------------------------------------
@@ -316,7 +406,11 @@ def load() -> dict:
 def check(name: str, want: dict):
     """None when the family matches its committed digest, else a report
     naming its first differing case and the value it has now."""
-    cases = run_family(name)
+    return compare(name, run_family(name), want)
+
+
+def compare(name: str, cases: list, want: dict):
+    """``check`` on the family's cases as computed."""
     got = digest(cases)
     if got["sha256"] == want["sha256"]:
         return None
@@ -327,14 +421,32 @@ def check(name: str, want: dict):
     return f"family {name}: {len(want['cases'])} cases committed, {len(cases)} now"
 
 
+def write(named) -> int:
+    """Add the digests of families that have none and rewrite the named ones;
+    a differing family that is not named keeps its digest and fails the run."""
+    want, refused = load(), 0
+    for name in FAMILIES:
+        if name in want and name not in named:
+            report = check(name, want[name])
+            if report:
+                print(f"{report}\nnot overwritten: name the family to rewrite it")
+                refused += 1
+            continue
+        cases = run_family(name)
+        if name in want:
+            print(compare(name, cases, want[name]) or f"family {name}: unchanged")
+        want[name] = digest(cases)
+        print(f"family {name}: written, {len(cases)} cases")
+    want = {name: want[name] for name in FAMILIES}
+    DIGESTS.write_text(json.dumps(want, indent=1, sort_keys=True) + "\n")
+    return 1 if refused else 0
+
+
 def main(argv) -> int:
-    if argv == ["--write"]:
-        DIGESTS.write_text(json.dumps({name: digest(run_family(name)) for name in FAMILIES},
-                                      indent=1, sort_keys=True) + "\n")
-        print(f"wrote {DIGESTS.name}: {len(FAMILIES)} families")
-        return 0
+    if argv[:1] == ["--write"] and set(argv[1:]) <= set(FAMILIES):
+        return write(set(argv[1:]))
     if argv:
-        print("usage: python tests/parity.py [--write]", file=sys.stderr)
+        print("usage: python tests/parity.py [--write [FAMILY ...]]", file=sys.stderr)
         return 1
     want, failed = load(), 0
     for name in FAMILIES:

@@ -22,7 +22,8 @@ def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
 
 
 def inverse_borel(fhat: FormalSeries) -> FormalSeries:
-    """beta^{-1}: xi^n -> n! t^n, coefficientwise."""
+    """beta^{-1}: xi^n -> n! t^n, coefficientwise (the CLI's ``unborel``; the
+    conjugations take it on their operands' ints inside the kernel)."""
     return fhat._new(fhat.trunc, {e: c * factorial(e[0]) for e, c in fhat.terms.items()},
                      fhat.vars.renamed_distinguished("t"))
 
@@ -30,9 +31,8 @@ def inverse_borel(fhat: FormalSeries) -> FormalSeries:
 def borel_star(fhat: FormalSeries, ghat: FormalSeries,
                kind: StarKind = STANDARD) -> FormalSeries:
     """Borel counterpart of the chosen star product, by conjugation: one kernel pass."""
-    fhat._check_compatible(ghat)
-    f, g = inverse_borel(fhat), inverse_borel(ghat)
-    return _exp_pairing(f, g, _dof_pairings(f, g, _PAIRINGS[kind.tag]), xi=fhat.vars.distinguished)
+    pairings = _dof_pairings(fhat, ghat, _PAIRINGS[kind.tag])
+    return _exp_pairing(fhat, ghat, pairings, xi=fhat.vars.distinguished)
 
 
 def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> FormalSeries:
@@ -72,7 +72,7 @@ def borel_star_standard_formula(fhat: FormalSeries, ghat: FormalSeries) -> Forma
 
 def borel_T(fhat: FormalSeries, inverse: bool = False) -> FormalSeries:
     """Borel counterpart of the transition operator, by conjugation: one kernel pass."""
-    return _exp_pairing(*_transition_args(inverse_borel(fhat), inverse), xi=fhat.vars.distinguished)
+    return _exp_pairing(*_transition_args(fhat, inverse), xi=fhat.vars.distinguished)
 
 
 def hadamard(phi: FormalSeries, psi: FormalSeries) -> FormalSeries:

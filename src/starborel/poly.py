@@ -117,7 +117,8 @@ def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     quot = _divide(_pack(a, w), _pack({e: c // g for e, c in b.items()}, w), guards)
     if quot is None:
         raise DegenerateError("division is not exact")
-    return A._new(None, {e: c * sb for e, c in _unpack(quot, n, w).items()}, None, sa * g)
+    quot = _unpack(quot, n, w)
+    return A._new(None, quot if sb == 1 else {e: c * sb for e, c in quot.items()}, None, sa * g)
 
 
 # -- packed monomials: one int per exponent vector (Monagan & Pearce) ---------
@@ -412,7 +413,8 @@ def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
         rows.append([zero] * i + p + [zero] * (size - m - 1 - i))
     for i in range(m):
         rows.append([zero] * i + q + [zero] * (size - n - 1 - i))
-    return _bareiss_det(rows).scale(s ** n * t ** m)
+    det, c = _bareiss_det(rows), s ** n * t ** m
+    return det if c == 1 else det.scale(c)
 
 
 def discriminant_locus(P: UniOverPoly) -> MultiPoly:

@@ -141,6 +141,12 @@ def _window_product(acc: dict, left: dict, right: dict, dt: int, dxy: int) -> di
     """acc += left * right over term dicts, keeping only the products whose
     distinguished degree is at most dt and whose other degree is at most dxy."""
     get = acc.get
+    if len(right) == 1 and not any(e0 := next(iter(right))):  # a constant keeps left's keys
+        c2 = right[e0]
+        for e1, c1 in left.items():
+            if e1[0] <= dt and sum(e1) - e1[0] <= dxy:
+                acc[e1] = get(e1, 0) + c1 * c2
+        return acc
     right = [(e2, c2, e2[0], sum(e2) - e2[0]) for e2, c2 in right.items()]
     for e1, c1 in left.items():
         room_t, room_xy = dt - e1[0], dxy - (sum(e1) - e1[0])  # what e1 leaves of the window
@@ -334,22 +340,20 @@ class SparseTerms:
         """Common window of two compatible operands (None if unwindowed)."""
         return None if self.trunc is None else self.trunc.meet(other.trunc)
 
-    def __add__(self, other):
+    def __add__(self, other, minus=False):
         if isinstance(other, (int, Fraction)):
             other = self._constant(other)
         self._check_compatible(other)
         terms = dict(self.terms)
         get = terms.get
         for e, c in other.terms.items():
-            terms[e] = get(e, 0) + c
+            terms[e] = get(e, 0) - c if minus else get(e, 0) + c
         return self._new(self._meet(other), terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            self._check_compatible(other)  # before negating: other may be any object
-        return self + -other
+        return self.__add__(other, True)
 
     def __neg__(self):
         return self._new(self.trunc, {e: -c for e, c in self.terms.items()})

@@ -22,8 +22,7 @@ def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
 
 
 def inverse_borel(fhat: FormalSeries) -> FormalSeries:
-    """beta^{-1}: xi^n -> n! t^n, coefficientwise (the CLI's ``unborel``; the
-    conjugations take it on their operands' ints inside the kernel)."""
+    """beta^{-1}: xi^n -> n! t^n, coefficientwise (the kernel takes it on ints: ``_borel_scaled``)."""
     return fhat._new(fhat.trunc, {e: c * factorial(e[0]) for e, c in fhat.terms.items()},
                      fhat.vars.renamed_distinguished("t"))
 

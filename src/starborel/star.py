@@ -51,15 +51,16 @@ def _dof_pairings(f: FormalSeries, g: FormalSeries, per_dof) -> list:
     return [e for q, p in f.vars.phase_pairs() for e in per_dof(q, p)]
 
 
-def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False, xi=None, over_t=False):
+def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False, xi=None,
+                 over_t=False) -> FormalSeries:
     """exp(t Σ_e w_e ∂_{a_e} ⊗ ∂_{b_e}) (f ⊗ g) on the common window of two
     compatible series, t distinguished, for ``pairings`` (a_e, b_e, w_e) that each
     name a derivative: every order differentiates f or g, so the orders k stop at
     K = min(t-cap, f's xy-degree + g's xy-degree).  Depth first in ints: f, g scaled
     by the lcm sf, sg of their denominators, W_e = D·w_e for D the lcm of the weights',
     order k adding k!/∏n_e!·∏W_e^(n_e) times K!/k!·D^(K-k), all over sf·sg·K!·D^K, which ``_new`` divides.
-    ``odd`` keeps only the odd orders k (the even leaves skip their products), ``over_t`` takes 2/t
-    of them (at t^(k-1), doubled, on (cap-1, dxy)); ``xi`` takes f, g in the Borel plane, returns β."""
+    ``odd`` keeps only the odd orders k (the even leaves skip their products); ``over_t``, 2/t of
+    them (at t^(k-1), doubled, on (cap-1, dxy)); ``xi`` takes f, g in the Borel plane, returns β."""
     trunc = f.trunc.meet(g.trunc)
     cap, dxy = trunc.deg_t, trunc.deg_xy
     dt, trunc = (cap - 1, Truncation(cap - 1, dxy)) if over_t else (cap, trunc)
@@ -81,7 +82,7 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False, xi=None,
                 coef = coef * W * (k + n) // n
             return
         # the leaf: t^k ∂^a f ∂^b g on the window, times its coefficient
-        if k % 2 or not odd:
+        if k % 2 or not (odd or over_t):
             c, k = coef * scale[k] << over_t, k - over_t
             _window_product(acc, {(e[0] + k,) + e[1:]: c * v for e, v in df.items()}, dg, dt, dxy)
 
@@ -122,7 +123,7 @@ def star(f: FormalSeries, g: FormalSeries, kind: StarKind = STANDARD) -> FormalS
 def moyal_commutator(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     """[f, g]_M = (f ⋆_M g - g ⋆_M f) / t = (2/t) Σ_{k odd} (t/2)^k/k! Π^k(f, g), Π antisymmetric:
     one kernel pass.  Its t^0 part is the Poisson bracket; its t-cap is one less, so 0 raises."""
-    c = _exp_pairing(f, g, _dof_pairings(f, g, _PAIRINGS["moyal"]), odd=True, over_t=True)
+    c = _exp_pairing(f, g, _dof_pairings(f, g, _PAIRINGS["moyal"]), over_t=True)
     if Truncation(c.trunc.deg_t + 1, c.trunc.deg_xy) != f.trunc.meet(g.trunc):  # quotient: (cap-1, dxy)
         raise StarBorelError("Moyal commutator not divisible by t")
     return c

@@ -24,8 +24,11 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
+from functools import lru_cache, reduce
+from math import gcd as int_gcd, lcm as int_lcm
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -42,12 +45,15 @@ from starborel import (  # noqa: E402
     Truncation,
     UniOverPoly,
     VariableSet,
+    borel,
     borel_star,
     borel_star_standard_formula,
     borel_T,
     conv_locus,
+    discriminant_locus,
     hadamard,
     hadamard_locus_5var,
+    inverse_borel,
     moyal_commutator,
     moyal_star,
     mp_divexact,
@@ -56,6 +62,7 @@ from starborel import (  # noqa: E402
     odot_locus,
     simple_decompose,
     standard_star,
+    sylvester_resultant,
     transition_T,
 )
 from starborel.cli import main as cli_main  # noqa: E402
@@ -89,12 +96,21 @@ def typed(value) -> str:
     raise TypeError(f"no typed form for {type(value).__name__}")
 
 
-def outcome(thunk) -> str:
-    """typed(thunk()), or the package error it raises as class and message."""
-    try:
-        return typed(thunk())
-    except StarBorelError as exc:
-        return f"!{type(exc).__name__}: {exc}"
+def outcome(value) -> str:
+    """typed(value), or a package error as its class and message."""
+    if isinstance(value, StarBorelError):
+        return f"!{type(value).__name__}: {value}"
+    return typed(value)
+
+
+def is_zero(value) -> bool:
+    """A series or polynomial without terms, the number 0, or a nonempty tuple
+    or list of zeros.  An error is an outcome, not a zero."""
+    if isinstance(value, SparseTerms):
+        return value.is_zero
+    if isinstance(value, (tuple, list)):
+        return bool(value) and all(map(is_zero, value))
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool) and value == 0
 
 
 # -- seeded inputs ------------------------------------------------------------
@@ -172,9 +188,9 @@ def substitute_windowed():
     rng = random.Random(101)
     for i in range(16):
         V = VariableSet.phase_space(1 + i % 2, "t" if i % 3 else "xi")
-        f = _series(rng, V, Truncation(rng.randint(0, 4), rng.randint(0, 4)))
+        f = _in_window(rng, V, Truncation(rng.randint(0, 4), rng.randint(0, 4)))
         for name in V.names:
-            g = _series(rng, V, Truncation(rng.randint(0, 4), rng.randint(0, 4)), 4, 2)
+            g = _in_window(rng, V, Truncation(rng.randint(0, 4), rng.randint(0, 4)), 4)
             yield f"{i}/{name}", lambda f=f, name=name, g=g: f.substitute(name, g)
 
 
@@ -234,6 +250,7 @@ def gcd():
 
 
 ZAB = VariableSet(("z", "a", "b"))
+AB = VariableSet(("a", "b"))
 
 
 def product_disc():
@@ -355,6 +372,55 @@ def borel_plane():
         yield f"poly-mul/{i}", lambda P=P, c=c: (P * c, c * P)
 
 
+def transforms():
+    """borel and inverse_borel at dof 1-3 and t-caps 0-8 (int and rational
+    coefficients), the round trips both ways, and a name already in use."""
+    rng = random.Random(113)
+    for i in range(18):
+        trunc = Truncation(i % 9, rng.randint(0, 5))
+        f, fhat = (_in_window(rng, VariableSet.phase_space(1 + i % 3, plane), trunc)
+                   for plane in ("t", "xi"))
+        f, fhat = (f, fhat) if i % 2 else (_ints(f), _ints(fhat))
+        yield f"borel/{i}", lambda f=f: borel(f)
+        yield f"inverse/{i}", lambda fhat=fhat: inverse_borel(fhat)
+        yield f"round-trips/{i}", lambda f=f, fhat=fhat: (inverse_borel(borel(f)),
+                                                          borel(inverse_borel(fhat)))
+    f = _in_window(rng, VariableSet.phase_space(1), Truncation(3, 3))
+    fhat = _in_window(rng, VariableSet(("xi", "t", "q")), Truncation(3, 3))
+    yield "borel/name-in-use", lambda: borel(f, "q")
+    yield "inverse/name-in-use", lambda: inverse_borel(fhat)
+
+
+def _primitive(P):
+    """P's integer primitive part, with P's sign: the content 1."""
+    s = reduce(int_lcm, (c.denominator for c in P.terms.values()), 1)
+    g = reduce(int_gcd, (c.numerator * (s // c.denominator) for c in P.terms.values()))
+    return MultiPoly(P.vars, {e: c * s // g for e, c in P.terms.items()})
+
+
+def resultants():
+    """sylvester_resultant and discriminant_locus on their own: unit, integer
+    and rational contents, z-degrees 0-3, and the degenerate cases."""
+    rng = random.Random(114)
+    contents = (lambda: 1, lambda: rng.choice((-1, 1)) * rng.randint(2, 6),
+                lambda: Fraction(rng.randint(-7, 7) or 1, rng.randint(2, 5)))
+    for i in range(27):
+        m, n = 1 + i % 3, (i // 3) % 3
+        P = _primitive(_in_var(rng, ZAB, "z", m)).scale(contents[i % 3]())
+        Q = _in_var(rng, ZAB, "z", n) if n else MultiPoly(ZAB, {(0,) + e: c for e, c in
+                                                              _nonzero_poly(rng, AB).terms.items()})
+        Q = _primitive(Q).scale(contents[i // 9]())
+        P, Q = UniOverPoly("z", P), UniOverPoly("z", Q)
+        yield f"res/{m}x{n}/{i}", lambda P=P, Q=Q: (sylvester_resultant(P, Q),
+                                                    sylvester_resultant(Q, P))
+        yield f"disc/{m}/{i}", lambda P=P: discriminant_locus(P)
+        yield f"disc/{n}/{i}", lambda Q=Q: discriminant_locus(Q)
+    c = UniOverPoly("z", MultiPoly.constant(ZAB, Fraction(-3, 4)))
+    a = UniOverPoly("a", MultiPoly.from_string("a*z - b", ZAB))
+    yield "res/constants", lambda: sylvester_resultant(c, c)
+    yield "res/two-variables", lambda: sylvester_resultant(a, UniOverPoly("z", a.poly))
+
+
 CLI_LINES = (
     ("verify", "examples"),
     ("verify", "integral-reps", "--seed", "7"),
@@ -377,9 +443,39 @@ def cli():
         yield " ".join(argv), lambda argv=argv: _cli(argv)
 
 
+# The README's CLI lines that ``CLI_LINES`` leaves out, and ``unborel``, each
+# also with --json.  Floats are compared to 12 significant digits.
+README_LINES = (
+    ("star", "t*p", "t*q"),
+    ("star", "--kind", "moyal", "p", "q"),
+    ("borel", "t^3*p"),
+    ("borel-star", "--kind", "moyal", "xi*p", "xi*q"),
+    ("transition", "t^2*p*q"),
+    ("hadamard", "xi + xi^2", "xi"),
+    ("odot", "--i", "z1", "--j", "z2", "--vars", "u,z1,z2", "z1*z2"),
+    ("verify", "integral-reps", "--seed", "1"),
+    ("verify", "radius"),
+    ("unborel", "1/6*xi^3*p + 2/3*xi*q - 5"),
+    ("unborel", "--dof", "2", "--trunc-t", "4", "1/8*xi^4*q1*p2 + 1/3*xi^2 + 7*xi"),
+    ("unborel", "--trunc-t", "0", "3/2*p"),
+    ("unborel", "xi^"),
+)
+_FLOAT = re.compile(r"\d+\.\d+(?:e[-+]?\d+)?")
+
+
+def cli_readme():
+    """CLI stdout, stderr and exit code on README_LINES, without and with --json."""
+    for argv in README_LINES:
+        for extra in ((), ("--json",)):
+            yield " ".join(argv + extra), lambda argv=argv + extra: tuple(
+                _FLOAT.sub(lambda m: format(float(m[0]), ".12g"), text)
+                if isinstance(text, str) else text for text in _cli(argv))
+
+
 FAMILIES = {f.__name__: f for f in (
     substitute_windowed, substitute_poly, cleared_family, divexact, gcd, product_disc,
-    simple, borel_formula, loci, cli, stars, transition, borel_plane)}
+    simple, borel_formula, loci, cli, stars, transition, borel_plane, transforms,
+    resultants, cli_readme)}
 
 
 # -- digests ------------------------------------------------------------------
@@ -388,9 +484,22 @@ def _hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@lru_cache(maxsize=None)
+def results(name: str) -> tuple:
+    """((label, value or the package error it raises)) for every case of the
+    family, in order; each family runs once per process."""
+    out = []
+    for label, thunk in FAMILIES[name]():
+        try:
+            out.append((label, thunk()))
+        except StarBorelError as exc:
+            out.append((label, exc))
+    return tuple(out)
+
+
 def run_family(name: str) -> list:
     """[(label, typed outcome)] for every case of the family, in order."""
-    return [(label, outcome(thunk)) for label, thunk in FAMILIES[name]()]
+    return [(label, outcome(value)) for label, value in results(name)]
 
 
 def digest(cases: list) -> dict:

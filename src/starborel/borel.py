@@ -12,8 +12,8 @@ from math import factorial
 
 from .errors import UnknownVariableError, VariableMismatchError
 from .series import FormalSeries, Truncation, VariableSet, _scaled, _window_product
-from .star import (_PAIRINGS, StarKind, STANDARD, _borel_new, _dof_pairings, _exp_pairing,
-                   _transition_args)
+from .star import (_PAIRINGS, StarKind, STANDARD, _borel_new, _borel_scaled, _dof_pairings,
+                   _exp_pairing, _transition_args)
 
 
 def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
@@ -22,9 +22,9 @@ def borel(f: FormalSeries, new_name: str = "xi") -> FormalSeries:
 
 
 def inverse_borel(fhat: FormalSeries) -> FormalSeries:
-    """beta^{-1}: xi^n -> n! t^n, coefficientwise (the kernel takes it on ints: ``_borel_scaled``)."""
-    return fhat._new(fhat.trunc, {e: c * factorial(e[0]) for e, c in fhat.terms.items()},
-                     fhat.vars.renamed_distinguished("t"))
+    """beta^{-1}: xi^n -> n! t^n, coefficientwise: the kernels' β⁻¹ entry on fhat's ints."""
+    s, nums = _borel_scaled(fhat)
+    return fhat._new(fhat.trunc, nums, fhat.vars.renamed_distinguished("t"), s)
 
 
 def borel_star(fhat: FormalSeries, ghat: FormalSeries,

@@ -4,12 +4,12 @@ square-free ("simple") decomposition in one variable, Sylvester resultants
 and discriminants.
 
 The gcd is one chain, ``mp_gcd``, which ``gcd_over_fraction_field`` and
-``is_simple`` call.  It tries the heuristic gcd ``_heu_gcd`` first (integer
-evaluation, the gcd of the images, a lift proven by exact division) and falls
-back to the proven path: ``_split_content`` (the positive rational content,
-split off on the integer terms of ``series._scaled``), ``_content_in`` (the
-gcd of the coefficients in one variable, which ``content_primitive`` also
-uses) and ``_prs`` (the primitive remainder sequence in that variable).
+``is_simple`` call.  It tries the heuristic gcd ``_heu_gcd`` first on the
+integer terms of ``series._scaled`` (integer evaluation, the gcd of the
+images, a lift proven by exact division) and falls back to the proven path:
+``_content_in`` (the gcd of the coefficients in one variable, which
+``content_primitive`` also uses) and ``_prs`` (the primitive remainder
+sequence in that variable).
 
 Polynomials share their ring code with the windowed series in
 :mod:`starborel.series` but have no window: arithmetic never drops terms.
@@ -118,7 +118,7 @@ def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     if quot is None:
         raise DegenerateError("division is not exact")
     quot = _unpack(quot, n, w)
-    return A._new(None, quot if sb == 1 else {e: c * sb for e, c in quot.items()}, None, sa * g)
+    return A._new(None, {e: c * sb for e, c in quot.items()}, None, sa * g)
 
 
 # -- packed monomials: one int per exponent vector (Monagan & Pearce) ---------
@@ -192,21 +192,19 @@ def _divide(a: dict, b: dict, guards: int):
 def mp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     """Gcd in Z[vars] scaled back to Q: includes the joint content (the gcd of
     the contents' numerators over the lcm of their denominators), normalized
-    with positive leading coefficient.  The heuristic gcd runs on the integer
-    primitive parts first; when it fails, the contents in the first variable
-    either operand mentions are split off, recursing on them, and the
-    remainder sequence runs on the primitive parts."""
+    with positive leading coefficient.  The heuristic gcd runs on ``_scaled``'s
+    ints first and leaves through one ``_new`` over the lcm of the scales; when
+    it fails, the contents in the first variable either operand mentions are
+    split off, recursing on them, and the remainder sequence runs on the primitive parts."""
     A._check_compatible(B)
     if A.is_zero or B.is_zero:
         g = B if A.is_zero else A
     else:
-        (ra, pa), (rb, pb) = _split_content(A), _split_content(B)
-        r = Fraction(int_gcd(ra.numerator, rb.numerator), int_lcm(ra.denominator, rb.denominator))
-        if A.total_degree() == 0 or B.total_degree() == 0:
-            return MultiPoly.constant(A.vars, r)
-        h = _heu_gcd(pa.terms, pb.terms)
+        (sa, a), (sb, b) = _scaled(A), _scaled(B)
+        h = _heu_gcd(a, b) if A.total_degree() and B.total_degree() else {
+            (0,) * len(A.vars.names): int_gcd(*a.values(), *b.values())}  # a constant operand
         if h is not None:
-            g = A._new(None, {e: c * r.numerator for e, c in h.items()}, None, r.denominator)
+            g = A._new(None, h, None, int_lcm(sa, sb))
         else:
             var = next(n for n in A.vars.names if A.degree(n) > 0 or B.degree(n) > 0)
             ca, cb = _content_in(A, var), _content_in(B, var)
@@ -217,7 +215,8 @@ def mp_gcd(A: MultiPoly, B: MultiPoly) -> MultiPoly:
 def _heu_gcd(a: dict, b: dict):
     """Gcd in Z[vars] of two nonzero integer term dicts, up to sign, by GCDHEU
     (Char, Geddes & Gonnet, J. Symbolic Comput. 1989); None when six values
-    of xi fail.  The first variable either mentions is put to the integer
+    of xi fail.  It divides out each content and multiplies back their gcd.
+    The first variable either mentions is put to the integer
     xi >= 2 min(|a|, |b|) + 2 (max norms of the primitive parts), the gcd of
     the images is taken by recursion and lifted back as xi-adic digits in
     (-xi/2, xi/2].  By the paper's theorem the primitive part of the lift is
@@ -413,8 +412,7 @@ def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
         rows.append([zero] * i + p + [zero] * (size - m - 1 - i))
     for i in range(m):
         rows.append([zero] * i + q + [zero] * (size - n - 1 - i))
-    det, c = _bareiss_det(rows), s ** n * t ** m
-    return det if c == 1 else det.scale(c)
+    return _bareiss_det(rows).scale(s ** n * t ** m)
 
 
 def discriminant_locus(P: UniOverPoly) -> MultiPoly:

@@ -92,7 +92,7 @@ def _exp_pairing(f: FormalSeries, g: FormalSeries, pairings, odd=False, xi=None,
 
 
 def _borel_scaled(fhat: FormalSeries) -> tuple:
-    """``_scaled(inverse_borel(fhat))`` on fhat's ints: β⁻¹ (xi^n -> n! t^n), gcd with s divided out."""
+    """β⁻¹ (xi^n -> n! t^n) on fhat's ``_scaled`` ints: (s, the ints times n!), their gcd with s divided out."""
     s, nums = _scaled(fhat)
     nums = {e: c * factorial(e[0]) for e, c in nums.items()}
     d = gcd(s, *nums.values())

@@ -2,7 +2,8 @@
 conjugations' β⁻¹ and a constant right operand are taken inside the star
 kernel and ``series._window_product``, and subtraction is one pass of the
 addition loop.  Results are checked term for term and type for type against
-the operations they replace."""
+the operations they replace.  The gcd chain and ``inverse_borel`` enter ints
+once too, through ``_scaled`` and ``_borel_scaled``."""
 
 import ast
 from fractions import Fraction
@@ -102,3 +103,23 @@ def test_the_conjugations_enter_the_kernel_from_the_borel_plane():
                 for node in ast.walk(_body("borel.py", name))
                 if isinstance(node, (ast.Name, ast.Attribute))}
         assert "inverse_borel" not in used, f"{name} references inverse_borel"
+
+
+def test_the_gcd_enters_ints_through_scaled():
+    """``mp_gcd`` hands ``_scaled``'s ints to the heuristic gcd and leaves
+    through one ``_new``: it splits off no content with ``_split_content``
+    and joins none as a ``Fraction``."""
+    used = {node.id for node in ast.walk(_body("poly.py", "mp_gcd")) if isinstance(node, ast.Name)}
+    found = used & {"_split_content", "Fraction"}
+    assert not found, f"mp_gcd references {sorted(found)}"
+
+
+def test_inverse_borel_is_the_kernels_entry():
+    """``inverse_borel`` is the kernel's β⁻¹ on ints, ``_borel_scaled``, through
+    ``_new``'s one division: it builds no comprehension of its own."""
+    body = _body("borel.py", "inverse_borel")
+    used = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert "_borel_scaled" in used, "inverse_borel does not reference _borel_scaled"
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = [node.lineno for node in ast.walk(body) if isinstance(node, comprehensions)]
+    assert not found, f"comprehensions in inverse_borel at lines {found}"

@@ -472,10 +472,77 @@ def cli_readme():
                 if isinstance(text, str) else text for text in _cli(argv))
 
 
+def _ring_cases(label, f, g, rng):
+    """+, -, * of f and g; f's powers 0-3; f's derivatives of orders 0-3 in one
+    variable, with and without shrinking the window; f at a rational point; f
+    with some of its other variables bound."""
+    names = f.vars.names
+    for op, run in (("+", lambda: f + g), ("-", lambda: f - g), ("*", lambda: f * g)):
+        yield f"{op}/{label}", run
+    yield f"pow/{label}", lambda: tuple(f.pow(n) for n in range(4))
+    name = names[rng.randrange(len(names))]
+    yield f"diff/{label}/{name}", lambda: tuple(
+        f.diff(name, k, shrink) for k in range(4) for shrink in (True, False))
+    point = {n: _rat(rng) for n in names}
+    yield f"evaluate/{label}", lambda: f.evaluate(point)
+    bound = {n: _rat(rng) or 1 for n in names[1:] if rng.randrange(2)}
+    yield f"evaluate_partial/{label}", lambda: f.evaluate_partial(bound)
+
+
+def ring():
+    """The ring operations on series (one window or two, dof 1-3, int and
+    rational coefficients) and on polynomials; binding the distinguished
+    variable of a series raises."""
+    rng = random.Random(115)
+    for i in range(16):
+        f, g = _phase_operands(rng, i)
+        yield from _ring_cases(f"series/{i}", f, g, rng)
+    for i in range(12):
+        P, Q = _nonzero_poly(rng, XYZ, 5, 2), _nonzero_poly(rng, XYZ, 4, 2)
+        yield from _ring_cases(f"poly/{i}", P, Q, rng)
+        x = _rat(rng)
+        yield f"evaluate_partial/poly/{i}/x", lambda P=P, x=x: P.evaluate_partial({"x": x})
+    f, _ = _phase_operands(rng, 1)
+    yield "evaluate_partial/distinguished", lambda: f.evaluate_partial({"t": 1})
+
+
+PARSE_VALID = (
+    "t^3 + t^2*p*q", "-7/2*t + 3", " t ^ 2 * p + 1 ", "4/2*t", "t - t", "0", "3*p*2*q",
+    "p^2*p", "- -p + -q", "1/3 + 2/6*q^2*t", "t^0*p^1", "t^6*p^6",
+)
+PARSE_BAD = (
+    "t +", "t^2^3", "1/0*t", "t^4/2", "t^2/1", "p^1 / 1*q", "t*", "p*q*", "w^2", "t^7",
+    "p^7", "", "* t", "t^", "t q", "3..5", "2/p", "/ 2", "p^2/q",
+)
+
+
+def _printed(cls, text, vars, *window):
+    """The parsed value and its canonical print."""
+    P = cls.from_string(text, vars, *window)
+    return P, str(P)
+
+
+def parse():
+    """The canonical print of valid texts, windowed on (6, 6) and unwindowed,
+    seeded round trips, and the error class and message of bad texts."""
+    V, window = VariableSet.phase_space(1), Truncation(6, 6)
+    rng = random.Random(116)
+    cases = [(text, V) for text in PARSE_VALID]
+    for i in range(12):
+        W = VariableSet.phase_space(1 + i % 3)
+        cases.append((str(_in_window(rng, W, window)), W))
+    for text, vars in cases:
+        yield f"series/{text}", lambda t=text, v=vars: _printed(FormalSeries, t, v, window)
+        yield f"poly/{text}", lambda t=text, v=vars: _printed(MultiPoly, t, v)
+    for text in PARSE_BAD:
+        yield f"bad/{text}", lambda text=text: FormalSeries.from_string(text, V, window)
+        yield f"bad-poly/{text}", lambda text=text: MultiPoly.from_string(text, V)
+
+
 FAMILIES = {f.__name__: f for f in (
     substitute_windowed, substitute_poly, cleared_family, divexact, gcd, product_disc,
     simple, borel_formula, loci, cli, stars, transition, borel_plane, transforms,
-    resultants, cli_readme)}
+    resultants, cli_readme, ring, parse)}
 
 
 # -- digests ------------------------------------------------------------------

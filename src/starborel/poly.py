@@ -1,7 +1,7 @@
 """Exact multivariate polynomial calculus over the rationals: gcd over the
 fraction field of the non-distinguished variables, content/primitive splits,
-square-free ("simple") decomposition in one variable, Sylvester resultants
-and discriminants.
+square-free ("simple") decomposition in one variable, Sylvester resultants (a
+determinant on ``_scaled``'s ints sP, tQ, over s^n t^m) and discriminants.
 
 The gcd is one chain, ``mp_gcd``, which ``gcd_over_fraction_field`` and
 ``is_simple`` call.  It tries the heuristic gcd ``_heu_gcd`` first on the
@@ -28,7 +28,6 @@ degrees for the determinant, whose every entry is a minor or a product of two.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
@@ -93,15 +92,7 @@ class UniOverPoly:
         return f"UniOverPoly[{self.var}]({self})"
 
 
-# -- the gcd chain: rational content, content in a variable, remainder sequence
-
-def _split_content(P: MultiPoly):
-    """(r, P / r) for r the content of P: the positive rational that leaves
-    P / r with coprime integer coefficients, 1 when P is zero."""
-    s, terms = _scaled(P)
-    g = reduce(int_gcd, terms.values(), 0) or 1
-    return Fraction(g, s), P._new(None, {e: c // g for e, c in terms.items()})
-
+# -- the gcd chain: exact division, content in a variable, remainder sequence
 
 def mp_divexact(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     """Exact division; ``DegenerateError`` when B is zero or does not divide A.
@@ -395,13 +386,12 @@ def _fms(p: dict, a: dict, m: dict, b: dict) -> dict:
 def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
     """Determinant of the Sylvester matrix in the shared distinguished
     variable.  Layout: ascending coefficients, the deg(Q) rows of P first.
-    It runs on integer parts: res(P, Q) = s^n t^m res(P/s, Q/t), s, t the contents."""
+    It runs on ``_scaled``'s ints sP, tQ: res(P, Q) = res(sP, tQ) / (s^n t^m)."""
     if P.var != Q.var:
         raise VariableMismatchError(f"distinguished variables differ: {P.var} vs {Q.var}")
     P.poly._check_compatible(Q.poly)
-    s, Ps = _split_content(P.poly)
-    t, Qt = _split_content(Q.poly)
-    p, q = Ps.univariate_coeffs(P.var), Qt.univariate_coeffs(Q.var)
+    (s, a), (t, b) = _scaled(P.poly), _scaled(Q.poly)
+    p, q = (P.poly._new(None, h).univariate_coeffs(P.var) for h in (a, b))
     m, n = len(p) - 1, len(q) - 1
     if m < 1 and n < 1:
         raise DegenerateError("resultant needs positive degree in the variable")
@@ -412,7 +402,8 @@ def sylvester_resultant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
         rows.append([zero] * i + p + [zero] * (size - m - 1 - i))
     for i in range(m):
         rows.append([zero] * i + q + [zero] * (size - n - 1 - i))
-    return _bareiss_det(rows).scale(s ** n * t ** m)
+    det = _bareiss_det(rows)
+    return det._new(None, det.terms, None, s ** n * t ** m)
 
 
 def discriminant_locus(P: UniOverPoly) -> MultiPoly:

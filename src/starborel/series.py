@@ -488,7 +488,7 @@ class FormalSeries(SparseTerms):
 
 # -- repo-wide text grammar ----------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^]))")
+_TOKEN = re.compile(r"\s*(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^/]))")
 
 
 def _tokenize(text: str):
@@ -496,7 +496,7 @@ def _tokenize(text: str):
     pos, out = 0, []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m:
+        if not m or m[3] == "/" and not (out and out[-1][0] == "name"):  # "/" divides a name only
             if text[pos:].strip():
                 raise ParseError(f"bad character near {text[pos:pos+8]!r}")
             break
@@ -540,6 +540,12 @@ def parse_terms(text: str):
                     e = toks[i + 2][1]
                     if e.__class__ is not int:
                         raise ParseError("exponent must be a nonnegative integer")
+                    i += 2
+                elif toks[i + 1][0] == "/":
+                    d = toks[i + 2][1]
+                    if d.__class__ is not int or not d:
+                        raise ParseError("a variable can only be divided by a positive integer")
+                    coeff /= d
                     i += 2
                 powers[val] = powers.get(val, 0) + e
             else:

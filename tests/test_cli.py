@@ -31,6 +31,11 @@ class TestProducts:
         assert code == 0
         assert out.strip() == "t^2*p*q + t^3"
 
+    def test_a_variable_divided_by_an_integer(self, capsys):
+        code, out, _ = run(capsys, "star", "p/2", "q")
+        assert code == 0
+        assert out.strip() == "1/2*p*q + 1/2*t"
+
     def test_star_moyal(self, capsys):
         code, out, _ = run(capsys, "star", "--kind", "moyal", "p", "q")
         assert code == 0

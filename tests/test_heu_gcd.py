@@ -161,8 +161,7 @@ class TestBigCoefficients:
         b = (y * z).scale(Fraction(big(), big())) + MultiPoly.constant(V3, 7)
         small = x + y + MultiPoly.constant(V3, 1)
         for A, B in ((a * c, b * c), (a * c * c, c * small), (a * small, b * small)):
-            assert poly._heu_gcd(poly._split_content(A)[1].terms,
-                                 poly._split_content(B)[1].terms) is not None
+            assert poly._heu_gcd(poly._scaled(A)[1], poly._scaled(B)[1]) is not None
             G = mp_gcd(A, B)
             assert_sympy_unit(G, A, B)
             assert typed(G) == fallback(A, B, "x")["mp_gcd"]

@@ -95,6 +95,14 @@ def test_the_commutator_takes_its_two_over_t_in_the_kernel():
     assert not found, f"comprehensions in moyal_commutator at lines {found}"
 
 
+def test_the_kernel_keeps_odd_orders_only_for_two_over_t():
+    """The odd orders of a kernel pass are the commutator's, so ``over_t`` is
+    the one switch that keeps them: ``_exp_pairing`` has no ``odd`` parameter."""
+    args = _body("star.py", "_exp_pairing").args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    assert "odd" not in names, f"_exp_pairing takes {names}"
+
+
 def test_the_conjugations_enter_the_kernel_from_the_borel_plane():
     """``borel_star`` and ``borel_T`` hand their operands to the kernel as
     they are: neither goes through ``inverse_borel``."""

@@ -22,7 +22,6 @@ from starborel import (
     simple_decompose,
     sylvester_resultant,
 )
-from starborel import poly
 from starborel.locus import _cleared_family
 from starborel.poly import product_discriminant
 
@@ -357,6 +356,30 @@ class TestRationalContents:
                         MultiPoly.from_string("4*x + 1", V1))
 
 
+@st.composite
+def in_z(draw):
+    """A polynomial over (x, y, z) of z-degree 1-3 with rational coefficients,
+    read in z."""
+    d = draw(st.integers(1, 3))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, d)),
+                                 NONZERO, max_size=4))
+    terms[draw(st.tuples(st.integers(0, 1), st.integers(0, 1))) + (d,)] = draw(NONZERO)
+    return UniOverPoly("z", MultiPoly(V3, terms))
+
+
+class TestResultantContents:
+    """The resultant runs its determinant on ``_scaled``'s ints and divides by
+    their scales at the end, by the content law res(cP, Q) = c^deg(Q) res(P, Q)."""
+
+    @DIVIDE
+    @given(in_z(), in_z(), CONTENT)
+    def test_a_factor_leaves_as_its_power(self, P, Q, c):
+        res = sylvester_resultant(P, Q)
+        cP, cQ = (UniOverPoly("z", X.poly.scale(c)) for X in (P, Q))
+        assert sylvester_resultant(cP, Q) == res.scale(c ** Q.degree)
+        assert sylvester_resultant(P, cQ) == res.scale(c ** P.degree)
+
+
 class TestTransforms:
     def test_shift(self):
         out = P("z1^2").substitute("z1", P("z1 + z2"))
@@ -451,29 +474,14 @@ def rational_content(*polys) -> Fraction:
 
 
 class TestContentSplit:
-    """``poly._split_content`` against the definition of the rational content."""
-
-    @DIVIDE
-    @given(SPARSE)
-    def test_split_is_the_content_and_an_integer_primitive_part(self, A):
-        r, Q = poly._split_content(A)
-        assert type(r) is Fraction and r > 0
-        assert r == rational_content(A)
-        assert all(type(c) is int for c in Q.terms.values())
-        assert math.gcd(*Q.terms.values()) == (1 if Q.terms else 0)
-        assert Q.scale(r) == A
-        assert Q.terms.keys() == A.terms.keys()
-
-    def test_zero_has_content_one(self):
-        r, Q = poly._split_content(MultiPoly.zero(V3))
-        assert r == 1 and Q.is_zero
+    """The gcd chain against the definition of the rational content."""
 
     @DIVIDE
     @given(SPARSE, SPARSE)
     def test_gcd_carries_the_joint_content(self, A, B):
         assume(not A.is_zero and not B.is_zero)
         g = mp_gcd(A, B)
-        assert poly._split_content(g)[0] == rational_content(A, B)
+        assert rational_content(g) == rational_content(A, B)
 
     def test_gcd_of_rational_constants(self):
         assert mp_gcd(P("3/2"), P("9/4")) == P("3/4")

@@ -65,6 +65,17 @@ class TestParsePrint:
                 S(bad)
         assert S("4/2*t") == S("2*t") and S("t^ 2*p") == S("t^2*p")
 
+    def test_a_variable_divided_by_a_positive_integer(self):
+        assert S("p/2") == S("1/2*p") and S("-3*t^2*q / 4") == S("-3/4*t^2*q")
+        assert S("p/2*q/3 + t") == S("1/6*p*q + t")
+        # a rational divisor would read 2/3 as one token and give p*3/2
+        for bad in ["p/q", "p/0", "p/", "p/2/3"]:
+            with pytest.raises(ParseError, match="divided by a positive integer"):
+                S(bad)
+        for bad in ["2/p", "/ 2", "p^2/q"]:  # a slash after no name stays a bad character
+            with pytest.raises(ParseError, match="bad character"):
+                S(bad)
+
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError):
             S("w^2")

@@ -440,6 +440,26 @@ def test_exact_division_and_the_product_formula_split_no_content():
         assert f"poly.py:{name}" not in found, f"{name} calls _split_content"
 
 
+def test_the_resultant_enters_ints_through_scaled():
+    """``sylvester_resultant`` runs its determinant on ``_scaled``'s ints and
+    leaves through ``_new``: it neither splits off a content nor scales its
+    result, and the polynomial calculus never names ``Fraction``."""
+    tree = ast.parse((SRC / "poly.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+             or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+             or isinstance(node, ast.Name) and node.id == "Fraction"]
+    assert not found, f"poly.py names fractions or Fraction at lines {found}"
+    tops = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_split_content" not in tops, "poly.py defines _split_content"
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(tops["sylvester_resultant"]) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert "_scaled" in called, "sylvester_resultant does not call _scaled"
+    assert not called & {"scale", "_split_content"}, \
+        f"sylvester_resultant calls {sorted(called & {'scale', '_split_content'})}"
+
+
 def test_running_powers_take_no_pow():
     """The cleared family and the examples suite's closed forms keep a running
     power, one product per step, instead of raising a power anew per degree."""

@@ -5,7 +5,7 @@ from itertools import product
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from starborel import (
     MOYAL,
@@ -223,8 +223,8 @@ def typed(terms):
     return {e: (c, type(c)) for e, c in terms.items()}
 
 
-def assert_matches(out, f, g, pairings, odd=False):
-    trunc, want = reference_pairing(f, g, pairings, odd)
+def assert_matches(out, f, g, pairings):
+    trunc, want = reference_pairing(f, g, pairings)
     assert out.vars == f.vars
     assert out.trunc == trunc
     assert typed(out.terms) == typed(want)
@@ -311,11 +311,20 @@ KERNEL_WEIGHTS = [lambda q, p: [((p,), (q,), 1)],
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(operand_pairs(), st.sampled_from(KERNEL_WEIGHTS), st.booleans())
 def test_odd_kernel_matches_the_reference(case, per_dof, unit):
+    """``over_t`` keeps 2/t of the odd orders: the odd reference terms moved
+    down by t, doubled, on the window (cap - 1, dxy)."""
     f, g = case
     if unit:
         g = FormalSeries.one(f.vars, g.trunc)
+    assume(f.trunc.meet(g.trunc).deg_t >= 1)
     pairings = phase_pairings(f.vars, per_dof)
-    assert_matches(star_mod._exp_pairing(f, g, pairings, odd=True), f, g, pairings, odd=True)
+    trunc, odd = reference_pairing(f, g, pairings, odd=True)
+    want = {(e[0] - 1,) + e[1:]: 2 * c for e, c in odd.items()}
+    out = star_mod._exp_pairing(f, g, pairings, over_t=True)
+    assert out.vars == f.vars
+    assert out.trunc == Truncation(trunc.deg_t - 1, trunc.deg_xy)
+    assert typed(out.terms) == typed({e: c.numerator if c.denominator == 1 else c
+                                      for e, c in want.items()})
 
 
 def commutator_by_definition(f, g):

@@ -51,7 +51,7 @@ from starborel import (  # noqa: E402
     borel_T,
     conv_locus,
     discriminant_locus,
-    hadamard,
+    hadamard as hadamard_product,
     hadamard_locus_5var,
     inverse_borel,
     moyal_commutator,
@@ -66,7 +66,7 @@ from starborel import (  # noqa: E402
     transition_T,
 )
 from starborel.cli import main as cli_main  # noqa: E402
-from starborel.locus import Variety, _cleared_family  # noqa: E402
+from starborel.locus import Leaf, Variety, _cleared_family  # noqa: E402
 from starborel.poly import product_discriminant  # noqa: E402
 from starborel.series import SparseTerms  # noqa: E402
 
@@ -360,7 +360,7 @@ def borel_plane():
             yield f"{kind.tag}/{i}", lambda f=fhat, g=ghat, kind=kind: borel_star(f, g, kind)
         window = fhat.trunc if i % 3 else Truncation(rng.randint(0, 6), rng.randint(0, 6))
         c = FormalSeries.constant(fhat.vars, window, _rat(rng) if i % 2 else rng.randint(-6, 6))
-        for name, op in (("mul", lambda a, b: a * b), ("hadamard", hadamard)):
+        for name, op in (("mul", lambda a, b: a * b), ("hadamard", hadamard_product)):
             yield f"{name}/{i}", lambda op=op, f=fhat, c=c: (op(f, c), op(c, f))
     ZV = VariableSet(("u", "z1", "z2", "z3"))
     for i in range(8):
@@ -539,10 +539,81 @@ def parse():
         yield f"bad-poly/{text}", lambda text=text: MultiPoly.from_string(text, V)
 
 
+def hadamard():
+    """hadamard between general operands: dof 1-3, int and rational
+    coefficients, one window or two, sparse slices; a dof mismatch raises."""
+    rng = random.Random(117)
+    for i in range(24):
+        fhat, ghat = _phase_operands(rng, i, "xi")
+        yield f"{i}", lambda f=fhat, g=ghat: (hadamard_product(f, g), hadamard_product(g, f))
+    U = VariableSet(("xi",), dof=0)
+    for i in range(6):
+        trunc = Truncation(rng.randint(0, 8), 0)
+        f, g = _in_window(rng, U, trunc), _in_window(rng, U, Truncation(8, 0))
+        yield f"univariate/{i}", lambda f=f, g=g: hadamard_product(f, g)
+    f, _ = _phase_operands(rng, 0, "xi")
+    g, _ = _phase_operands(rng, 1, "xi")
+    yield "dof-mismatch", lambda: hadamard_product(f, g)
+
+
+def _near_roots(rng, leaf, names):
+    """Float points on the leaf, each with a copy moved off it by 1e-2: the
+    other variables at seeded rationals, one variable at a root of what is
+    left (``np.roots``; complex roots kept)."""
+    import numpy as np
+    P, points = leaf.poly, []
+    for v in [n for n in names if P.degree(n) > 0][:2]:
+        bound = {n: _rat(rng) or Fraction(1, 2) for n in names if n != v}
+        U = P.evaluate_partial(bound)
+        coeffs = [float(c.coeff((0,) * len(c.vars.names))) for c in reversed(U.univariate_coeffs(v))]
+        for root in np.roots(coeffs)[:1]:
+            root = complex(root) if root.imag else float(root.real)
+            point = {n: float(c) for n, c in bound.items()}
+            points += [{**point, v: root}, {**point, v: root * (1 + 1e-2) + 1e-2}]
+    return points
+
+
+def contains_numeric():
+    """Variety.contains_numeric at tol 1e-9 on the h5, odot and conv loci, at
+    seeded float points and at points on (and 1e-2 off) each leaf, with the
+    verdict of every leaf alone; a leaf scaled by powers of ten at a point on
+    it and at one off it."""
+    rng = random.Random(118)
+    Vf, Vg = VariableSet(("xi1", "q", "p")), VariableSet(("xi2", "q", "p"))
+    h5 = (("3 - xi1 - 2*q - p", "1 - xi2 - q - 2*p"),
+          ("2 - xi1 - q - p - q*p", "1 - xi2 - q - 3*p - q*p"),
+          ("1 - xi1 - 2*p", "3 - xi2 - 2*q^2"))
+    loci = [hadamard_locus_5var(UniOverPoly("p", MultiPoly.from_string(pf, Vf)),
+                                UniOverPoly("q", MultiPoly.from_string(qg, Vg)))
+            for pf, qg in h5]
+    Vo = VariableSet(("z1", "z2", "z3"))
+    loci += [odot_locus(_nonzero_poly(rng, Vo, 5, 2), "z1", "z2") for _ in range(3)]
+    Vp, Vbar = VariableSet(("z1", "z2")), VariableSet(("z", "z2"))
+    loci += [conv_locus(UniOverPoly("z1", _in_var(rng, Vp, "z1", 1 + i % 3, 3)),
+                        MultiPoly(Vbar, {(1, 0): _rat(rng) or 1, (0, 1): Fraction(i % 2)}))
+             for i in range(3)]
+    for k, L in enumerate(loci):
+        names = L.vars.names
+        points = [{n: float(_rat(rng)) for n in names} for _ in range(2)]
+        for leaf in L.all_leaves():
+            points += _near_roots(rng, leaf, names)
+        alone = [Variety(L.vars, [[leaf]]) for leaf in L.all_leaves()]
+        for j, pt in enumerate(points):
+            yield f"locus/{k}/{j}", lambda L=L, pt=pt, alone=alone: (
+                L.contains_numeric(pt), tuple(A.contains_numeric(pt) for A in alone))
+    # P vanishes exactly at (3/2, 3/4), a point floats hold exactly
+    V = VariableSet(("x", "y"), dof=0)
+    P = MultiPoly.from_string("x^2*y - 3/7*x*y^2 + 2*y - 633/224", V)
+    for e in (-400, -300, -30, -3, 0, 3, 30, 300, 400):
+        S = Variety(V, [[Leaf(f"10^{e}", P.scale(Fraction(10) ** e))]])
+        for label, pt in (("on", {"x": 1.5, "y": 0.75}), ("off", {"x": 1.5, "y": 1.0})):
+            yield f"scaled/{e}/{label}", lambda S=S, pt=pt: S.contains_numeric(pt)
+
+
 FAMILIES = {f.__name__: f for f in (
     substitute_windowed, substitute_poly, cleared_family, divexact, gcd, product_disc,
     simple, borel_formula, loci, cli, stars, transition, borel_plane, transforms,
-    resultants, cli_readme, ring, parse)}
+    resultants, cli_readme, ring, parse, hadamard, contains_numeric)}
 
 
 # -- digests ------------------------------------------------------------------

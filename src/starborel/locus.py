@@ -18,23 +18,31 @@ from .errors import (
 from .poly import (
     MultiPoly,
     UniOverPoly,
+    _product_disc_factors,
     discriminant_locus,
     is_simple,
-    product_discriminant,
 )
 from .series import VariableSet, as_rat
 
 
 class Leaf:
-    """One labeled polynomial condition {poly = 0}."""
+    """One labeled polynomial condition {poly = 0}, kept as its factors
+    (``Leaf(label, *factors)``); ``poly`` multiplies them on first use."""
 
-    __slots__ = ("label", "poly")
+    __slots__ = ("label", "factors", "_product")
 
-    def __init__(self, label: str, poly: MultiPoly):
-        if poly.is_zero:
+    def __init__(self, label: str, poly: MultiPoly, *factors: MultiPoly):
+        # a one-factor leaf's product is its polynomial itself
+        self.label, self.factors, self._product = label, (poly,) + factors, None if factors else poly
+        if any(P.is_zero for P in self.factors):
             raise DegenerateError(f"leaf {label!r} is identically zero")
-        self.label = label
-        self.poly = poly
+
+    @property
+    def poly(self) -> MultiPoly:
+        # kept once multiplied: numeric membership reads it at every point
+        if self._product is None:
+            self._product = prod(self.factors[1:], start=self.factors[0])
+        return self._product
 
     def __str__(self):
         return f'cond "{self.label}": {self.poly}'
@@ -47,21 +55,24 @@ class Variety:
 
     def __init__(self, vars: VariableSet, groups):
         self.vars = vars
-        # a leaf is never zero, so degree 0 means a nonzero constant: no zeros
-        self.groups = [[leaf for leaf in group if leaf.poly.total_degree() > 0]
+        # no factor is zero, so the product's total degree is the factors' sum,
+        # and a product of degree 0 is a nonzero constant: no zeros
+        self.groups = [[leaf for leaf in group if sum(map(MultiPoly.total_degree, leaf.factors)) > 0]
                        for group in groups]
 
     def _holds(self, vanishes) -> bool:
-        """Every group has a leaf whose polynomial P satisfies ``vanishes(P)``."""
-        return all(any(vanishes(leaf.poly) for leaf in group) for group in self.groups)
+        """Every group has a leaf that satisfies ``vanishes(leaf)``."""
+        return all(any(vanishes(leaf) for leaf in group) for group in self.groups)
 
     def contains_exact(self, point: dict) -> bool:
         """Exact membership at a rational point binding every variable."""
-        return self._holds(lambda P: P.evaluate(point) == 0)
+        # per factor: a product is 0 exactly where a factor is (Q[vars] has no zero divisors)
+        return self._holds(lambda leaf: any(P.evaluate(point) == 0 for P in leaf.factors))
 
     def contains_numeric(self, point: dict, tol: float = 1e-9) -> bool:
         """Numeric membership, scale-free: leaf P holds where |P(x)| <= tol * sum_e |c_e x^e|."""
-        return self._holds(lambda P: _vanishes(P, point, tol))
+        # on the product, which the leaf multiplies once
+        return self._holds(lambda leaf: _vanishes(leaf.poly, point, tol))
 
     def all_leaves(self):
         for group in self.groups:
@@ -159,11 +170,11 @@ def hadamard_locus_5var(Pf: UniOverPoly, Qg: UniOverPoly) -> Variety:
     Builds the denominator-cleared family W = f g, with f = Pf(xi1, q, p+z)
     and g = z^N Qg(xi2, q + xi3/z, p), then emits the leading z-coefficient,
     the constant z-coefficient, the z-discriminant of W, and the hyperplane
-    {xi3 = 0}.  The z-discriminant is assembled from the discriminants of f
-    and g and their resultant (``product_discriminant``); it is the same
-    polynomial as the full one.  When Pf has degree 0 in p or Qg degree 0 in
-    q, a factor has z-degree 0, the product formula does not hold, and the
-    full z-discriminant of W is computed instead.
+    {xi3 = 0}.  The z-discriminant leaf keeps the factors of the product
+    formula, the discriminants of f and g and their resultant twice; their
+    product is the full z-discriminant.  When Pf has degree 0 in p or Qg
+    degree 0 in q, a factor has z-degree 0, the product formula does not
+    hold, and the full z-discriminant of W is its one factor instead.
     """
     if Pf.var != "p" or Qg.var != "q":
         raise VariableMismatchError("expected Pf simple in 'p' and Qg simple in 'q'")
@@ -222,8 +233,9 @@ def _clearing_leaves(locus_vars: VariableSet, f: MultiPoly, g: MultiPoly = None)
     """Leaves of a denominator-cleared family W = f (or f*g) in its clearing
     variable z: W itself if it does not involve z, else its leading and
     (nonzero) constant z-coefficients and (nonzero) z-discriminant.  When f
-    and g both involve z the discriminant is assembled from them
-    (``product_discriminant``); otherwise it is the full one of W."""
+    and g both involve z the discriminant leaf keeps the product formula's
+    factors (``_product_disc_factors``), each moved to the locus variables
+    and never multiplied; otherwise its one factor is the full one of W."""
     W = f if g is None else f * g
     U = UniOverPoly.from_multipoly(W, "z")
     coeffs = U.coeffs
@@ -233,9 +245,9 @@ def _clearing_leaves(locus_vars: VariableSet, f: MultiPoly, g: MultiPoly = None)
     if not coeffs[0].is_zero:
         leaves.append(Leaf("constant z-coefficient", coeffs[0].rehome(locus_vars)))
     if g is not None and f.degree("z") > 0 and g.degree("z") > 0:
-        disc = product_discriminant(UniOverPoly("z", f), UniOverPoly("z", g))
+        disc = _product_disc_factors(UniOverPoly("z", f), UniOverPoly("z", g))
     else:
-        disc = discriminant_locus(U)
-    if not disc.is_zero:
-        leaves.append(Leaf("z-discriminant", disc.rehome(locus_vars)))
+        disc = [discriminant_locus(U)]
+    if not any(d.is_zero for d in disc):
+        leaves.append(Leaf("z-discriminant", *(d.rehome(locus_vars) for d in disc)))
     return leaves

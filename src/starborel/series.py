@@ -324,7 +324,9 @@ class SparseTerms:
         buckets = [{} for _ in range(self.degree(name) + 1)]
         for e, c in self.terms.items():
             buckets[e[i]][e[:i] + (0,) + e[i + 1:]] = c
-        return [self._new(self.trunc, b) for b in buckets]
+        # one zero for every empty degree: series are never mutated
+        zero = None if all(buckets) else self._new(self.trunc, {})
+        return [self._new(self.trunc, b) if b else zero for b in buckets]
 
     # -- ring operations --------------------------------------------------
 

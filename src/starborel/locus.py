@@ -18,6 +18,7 @@ from .errors import (
 from .poly import (
     MultiPoly,
     UniOverPoly,
+    _product,
     _product_disc_factors,
     discriminant_locus,
     is_simple,
@@ -26,23 +27,15 @@ from .series import VariableSet, as_rat
 
 
 class Leaf:
-    """One labeled polynomial condition {poly = 0}, kept as its factors
-    (``Leaf(label, *factors)``); ``poly`` multiplies them on first use."""
+    """One labeled condition {poly = 0}, poly the product of ``factors``, multiplied once."""
 
-    __slots__ = ("label", "factors", "_product")
+    __slots__ = ("label", "factors", "poly")
 
     def __init__(self, label: str, poly: MultiPoly, *factors: MultiPoly):
-        # a one-factor leaf's product is its polynomial itself
-        self.label, self.factors, self._product = label, (poly,) + factors, None if factors else poly
+        self.label, self.factors = label, (poly,) + factors
         if any(P.is_zero for P in self.factors):
             raise DegenerateError(f"leaf {label!r} is identically zero")
-
-    @property
-    def poly(self) -> MultiPoly:
-        # kept once multiplied: numeric membership reads it at every point
-        if self._product is None:
-            self._product = prod(self.factors[1:], start=self.factors[0])
-        return self._product
+        self.poly = _product(self.factors)  # one factor is its own product
 
     def __str__(self):
         return f'cond "{self.label}": {self.poly}'
@@ -55,9 +48,8 @@ class Variety:
 
     def __init__(self, vars: VariableSet, groups):
         self.vars = vars
-        # no factor is zero, so the product's total degree is the factors' sum,
-        # and a product of degree 0 is a nonzero constant: no zeros
-        self.groups = [[leaf for leaf in group if sum(map(MultiPoly.total_degree, leaf.factors)) > 0]
+        # a leaf is never zero, so degree 0 means a nonzero constant: no zeros
+        self.groups = [[leaf for leaf in group if leaf.poly.total_degree() > 0]
                        for group in groups]
 
     def _holds(self, vanishes) -> bool:
@@ -66,12 +58,13 @@ class Variety:
 
     def contains_exact(self, point: dict) -> bool:
         """Exact membership at a rational point binding every variable."""
-        # per factor: a product is 0 exactly where a factor is (Q[vars] has no zero divisors)
-        return self._holds(lambda leaf: any(P.evaluate(point) == 0 for P in leaf.factors))
+        # per factor: a product is 0 exactly where a factor is (Q[vars] has no
+        # zero divisors); a repeated factor is one object, evaluated once
+        return self._holds(lambda leaf: any(P is not R and P.evaluate(point) == 0
+                                            for R, P in zip((None,) + leaf.factors, leaf.factors)))
 
     def contains_numeric(self, point: dict, tol: float = 1e-9) -> bool:
         """Numeric membership, scale-free: leaf P holds where |P(x)| <= tol * sum_e |c_e x^e|."""
-        # on the product, which the leaf multiplies once
         return self._holds(lambda leaf: _vanishes(leaf.poly, point, tol))
 
     def all_leaves(self):
@@ -171,8 +164,8 @@ def hadamard_locus_5var(Pf: UniOverPoly, Qg: UniOverPoly) -> Variety:
     and g = z^N Qg(xi2, q + xi3/z, p), then emits the leading z-coefficient,
     the constant z-coefficient, the z-discriminant of W, and the hyperplane
     {xi3 = 0}.  The z-discriminant leaf keeps the factors of the product
-    formula, the discriminants of f and g and their resultant twice; their
-    product is the full z-discriminant.  When Pf has degree 0 in p or Qg
+    formula, the discriminants of f and g and their resultant twice, next to
+    their product, the full z-discriminant.  When Pf has degree 0 in p or Qg
     degree 0 in q, a factor has z-degree 0, the product formula does not
     hold, and the full z-discriminant of W is its one factor instead.
     """
@@ -232,10 +225,9 @@ def _cleared_family(coeffs, ring: VariableSet, x: str, xi: str, z: str) -> Multi
 def _clearing_leaves(locus_vars: VariableSet, f: MultiPoly, g: MultiPoly = None) -> list:
     """Leaves of a denominator-cleared family W = f (or f*g) in its clearing
     variable z: W itself if it does not involve z, else its leading and
-    (nonzero) constant z-coefficients and (nonzero) z-discriminant.  When f
-    and g both involve z the discriminant leaf keeps the product formula's
-    factors (``_product_disc_factors``), each moved to the locus variables
-    and never multiplied; otherwise its one factor is the full one of W."""
+    (nonzero) constant z-coefficients and (nonzero) z-discriminant, whose
+    factors are the product formula's when f and g both involve z (each
+    distinct one moved over once), else the full one of W."""
     W = f if g is None else f * g
     U = UniOverPoly.from_multipoly(W, "z")
     coeffs = U.coeffs
@@ -249,5 +241,6 @@ def _clearing_leaves(locus_vars: VariableSet, f: MultiPoly, g: MultiPoly = None)
     else:
         disc = [discriminant_locus(U)]
     if not any(d.is_zero for d in disc):
-        leaves.append(Leaf("z-discriminant", *(d.rehome(locus_vars) for d in disc)))
+        homed = {id(d): d.rehome(locus_vars) for d in disc}  # res(f, g) stays one object
+        leaves.append(Leaf("z-discriminant", *(homed[id(d)] for d in disc)))
     return leaves

@@ -414,8 +414,8 @@ def discriminant_locus(P: UniOverPoly) -> MultiPoly:
 
 
 def _product_disc_factors(P: UniOverPoly, Q: UniOverPoly) -> list:
-    """The product formula's factors [±disc P, disc Q, res(P, Q), res(P, Q)]: the
-    sign (-1)^(m n) goes on the discriminant with fewer terms, which comes first."""
+    """The product formula's factors [±disc P, disc Q, res(P, Q), res(P, Q)], res as one
+    object; the sign (-1)^(m n) goes on the discriminant with fewer terms, put first."""
     if P.degree < 1 or Q.degree < 1:
         raise DegenerateError("the product formula needs both degrees >= 1")
     dp, dq = sorted((discriminant_locus(P), discriminant_locus(Q)), key=lambda d: len(d.terms))
@@ -423,9 +423,15 @@ def _product_disc_factors(P: UniOverPoly, Q: UniOverPoly) -> list:
     return [-dp if P.degree * Q.degree % 2 else dp, dq, res, res]
 
 
+def _product(factors):
+    """The factors' product by halves, [a, b, r, r] as (a b)(r r); one factor is itself."""
+    h = len(factors) // 2
+    return _product(factors[:h]) * _product(factors[h:]) if h else factors[0]
+
+
 def product_discriminant(P: UniOverPoly, Q: UniOverPoly) -> MultiPoly:
     """``discriminant_locus`` of the product P*Q, assembled from its factors
     by the product formula: (-1)^(m n) disc(P) disc(Q) res(P, Q)^2 for
     m = deg P >= 1 and n = deg Q >= 1.  Three small Sylvester determinants
     replace one of size 2(m + n) - 1."""
-    return reduce(MultiPoly.__mul__, _product_disc_factors(P, Q))
+    return _product(_product_disc_factors(P, Q))

@@ -1,7 +1,7 @@
 """Factored leaves: the 5-variable Hadamard z-discriminant leaf keeps the
-product formula's factors [±disc f, disc g, res(f, g), res(f, g)] and never
-multiplies them.  Their product is the full z-discriminant term for term;
-exact membership tests each factor and agrees with the product's value."""
+product formula's factors [±disc f, disc g, res(f, g), res(f, g)] next to
+their product, which is the full z-discriminant term for term; exact
+membership tests each factor and agrees with the product's value."""
 
 import ast
 import random
@@ -84,7 +84,7 @@ def test_the_factors_multiply_to_the_product_discriminant(shape, seed):
     f, g = family(Pf, Qg)
     m, n = f.degree("z"), g.degree("z")
     assert (m, n) == tuple(map(int, shape[:3].split("x")))
-    assert len(leaf.factors) == 4 and leaf.factors[2] == leaf.factors[3]
+    assert len(leaf.factors) == 4 and leaf.factors[2] is leaf.factors[3]  # moved over once
     want = product_discriminant(UniOverPoly("z", f), UniOverPoly("z", g)).rehome(L.vars)
     assert typed(reduce(mul, leaf.factors)) == typed(want)
     assert typed(leaf.poly) == typed(want)
@@ -194,14 +194,26 @@ def test_a_leaf_of_constant_factors_is_dropped():
     assert Variety(V, [[mixed]]).contains_exact({"x": 0, "y": 1})
 
 
-def test_the_product_is_taken_on_first_use_for_numeric_membership_and_printing():
+def test_numeric_membership_and_printing_read_the_product():
     Pf, Qg = germs("1x2", 1)
     L = hadamard_locus_5var(Pf, Qg)
     leaf = z_leaf(L)
     assert str(leaf) == f'cond "z-discriminant": {reduce(mul, leaf.factors)}'
-    assert leaf.poly is leaf.poly  # multiplied once, then kept
     pt = common_roots(Pf, Qg, random.Random(7), 1)[0]
     assert L.contains_numeric({n: float(c) for n, c in pt.items()})
+
+
+def test_exact_membership_evaluates_a_repeated_factor_once(monkeypatch):
+    Pf, Qg = germs("1x2", 1)
+    leaf = z_leaf(hadamard_locus_5var(Pf, Qg))
+    L = Variety(leaf.poly.vars, [[leaf]])
+    pt = off_points(L, random.Random(3), 1)[0]
+    evaluated = []
+    evaluate = MultiPoly.evaluate
+    monkeypatch.setattr(MultiPoly, "evaluate",
+                        lambda P, pt: evaluated.append(P) or evaluate(P, pt))
+    assert not L.contains_exact(pt)
+    assert [id(P) for P in evaluated] == [id(P) for P in leaf.factors[:3]]
 
 
 def test_empty_slices_share_one_zero():
@@ -229,7 +241,7 @@ def test_the_product_formula_is_stated_once():
     """``product_discriminant`` multiplies the private factor list; only
     ``_product_disc_factors`` takes both a discriminant and a resultant."""
     used = _names(_function(SRC / "poly.py", "product_discriminant"))
-    assert {"reduce", "__mul__", "_product_disc_factors"} <= used
+    assert {"_product", "_product_disc_factors"} <= used
     assert not used & {"sylvester_resultant", "discriminant_locus"}
     formula = [f"{path.name}:{node.name}" for path in sorted(SRC.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
@@ -238,11 +250,13 @@ def test_the_product_formula_is_stated_once():
     assert formula == ["poly.py:_product_disc_factors"], formula
 
 
-def test_the_clearing_leaves_never_multiply_the_discriminant_factors(monkeypatch):
+def test_the_discriminant_factors_are_multiplied_once_by_halves(monkeypatch):
+    """``_clearing_leaves`` multiplies nothing but W = f g; the leaf
+    multiplies its factors once, as (±disc f · disc g)(res · res)."""
     body = _function(SRC / "locus.py", "_clearing_leaves")
     used = _names(body)
     assert "_product_disc_factors" in used
-    assert not used & {"product_discriminant", "reduce", "prod", "__mul__", "poly"}
+    assert not used & {"product_discriminant", "_product", "reduce", "prod", "__mul__", "poly"}
     products = [(getattr(n.left, "id", None), getattr(n.right, "id", None))
                 for n in ast.walk(body) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)]
     assert products == [("f", "g")], products  # W = f g only
@@ -257,4 +271,7 @@ def test_the_clearing_leaves_never_multiply_the_discriminant_factors(monkeypatch
     leaf = z_leaf(hadamard_locus_5var(*germs("1x2", 1)))
     assert len(returned) == 4
     kept = returned + list(leaf.factors)
-    assert not [op for op in operands if any(op is F for F in kept)]
+    touched = [(id(a), id(b)) for a, b in zip(operands[::2], operands[1::2])
+               if any(op is F for op in (a, b) for F in kept)]
+    dp, dq, res, _ = leaf.factors
+    assert touched == [(id(dp), id(dq)), (id(res), id(res))]
